@@ -175,10 +175,10 @@ def _add_machine(sub) -> None:
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--check-invariance", action="store_true",
                    help="also run on 1 node and compare bitwise")
-    p.add_argument("--backend", choices=("serial", "vectorized", "process"),
+    p.add_argument("--backend", choices=("serial", "vectorized"),
                    default="vectorized",
                    help="execution backend (state codes are bitwise "
-                        "identical across all of them)")
+                        "identical across both)")
     p.add_argument("--kernel-tier", choices=("numpy", "compiled"), default=None,
                    help="hot-loop kernel tier: 'compiled' builds a small C "
                         "extension on first use (bitwise identical to numpy; "
@@ -265,7 +265,7 @@ def _add_network(sub) -> None:
                    help="power-of-two node count for the functional run")
     p.add_argument("--waters", type=int, default=32)
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--backend", choices=("serial", "vectorized", "process"),
+    p.add_argument("--backend", choices=("serial", "vectorized"),
                    default="vectorized")
     p.add_argument("--multicast", choices=("tree", "unicast"), default="tree")
     p.add_argument("--delta-bits", type=int, default=None, metavar="B")
@@ -300,6 +300,15 @@ def _add_perf(sub) -> None:
     p.add_argument("--profile", action="store_true", help="print the Table 2 style task profile")
 
 
+def _recipe(recipe, *args):
+    """A water recipe's parameters; SystemExit with its one-line reason
+    when the box cannot be run."""
+    try:
+        return recipe(*args)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
+
 def _open_store(args):
     """(store, loaded) from the durable-store flags; SystemExit on misuse."""
     from repro.io import CheckpointError, CheckpointStore
@@ -324,12 +333,17 @@ def cmd_simulate(args) -> int:
     from dataclasses import replace
 
     from repro import BerendsenThermostat, EnergyLogWriter, MDParams, Simulation, minimize_energy
-    from repro.systems import benchmark_by_name, build_hp_system, build_water_box, hp_miniprotein
+    from repro.systems import (
+        benchmark_by_name,
+        build_hp_system,
+        build_water_box,
+        hp_miniprotein,
+        mts_water_params,
+    )
 
     if args.system == "water":
+        params = _recipe(mts_water_params, args.waters, args.cutoff)
         system = build_water_box(n_molecules=args.waters, seed=args.seed)
-        cutoff = args.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-        params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), long_range_every=2)
     elif args.system == "hp":
         system = build_hp_system(hp_miniprotein(seed=args.seed))
         params = MDParams(cutoff=args.cutoff or 14.0, mesh=(16, 16, 16))
@@ -409,14 +423,13 @@ def cmd_simulate(args) -> int:
 def cmd_ensemble(args) -> int:
     from dataclasses import replace
 
-    from repro import BerendsenThermostat, MDParams, minimize_energy
+    from repro import BerendsenThermostat, minimize_energy
     from repro.ensemble import EnsembleSimulation, parse_seed_spec
     from repro.io import replica_checkpoint_store, replica_trajectory_path
-    from repro.systems import build_water_box
+    from repro.systems import build_water_box, mts_water_params
 
+    params = _recipe(mts_water_params, args.waters, args.cutoff)
     system = build_water_box(n_molecules=args.waters, seed=args.seed)
-    cutoff = args.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-    params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), long_range_every=2)
     if args.skin is not None:
         params = replace(params, skin=args.skin)
     try:
@@ -506,12 +519,11 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_machine(args) -> int:
-    from repro import AntonMachine, MDParams, minimize_energy
-    from repro.systems import build_water_box
+    from repro import AntonMachine, minimize_energy
+    from repro.systems import build_water_box, machine_water_params
 
+    params = _recipe(machine_water_params, args.waters)
     base = build_water_box(n_molecules=args.waters, seed=7)
-    cutoff = min(4.5, base.box.max_cutoff() * 0.9)
-    params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), quantize_mesh_bits=40)
     store, loaded = _open_store(args)
     if loaded is None:
         minimize_energy(base, params, max_steps=40)
@@ -696,12 +708,11 @@ def cmd_network(args) -> int:
                   f"{r['multicast']['saved_link_bytes']:>12}")
         return 0
 
-    from repro import AntonMachine, MDParams, minimize_energy
-    from repro.systems import build_water_box
+    from repro import AntonMachine, minimize_energy
+    from repro.systems import build_water_box, machine_water_params
 
+    params = _recipe(machine_water_params, args.waters)
     base = build_water_box(n_molecules=args.waters, seed=7)
-    cutoff = min(4.5, base.box.max_cutoff() * 0.9)
-    params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), quantize_mesh_bits=40)
     minimize_energy(base, params, max_steps=40)
     base.initialize_velocities(300.0, seed=8)
     machine = AntonMachine(

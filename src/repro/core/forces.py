@@ -36,7 +36,9 @@ from repro.forcefield import (
     nonbonded_real_space_tabulated,
     scatter_forces,
 )
+from repro.forcefield.nonbonded import NonbondedResult
 from repro.geometry import NeighborList
+from repro.kernels import get_suite, make_pair_spec
 
 __all__ = ["MDParams", "ForceReport", "ForceCalculator", "MTSForceProvider"]
 
@@ -90,7 +92,16 @@ class ForceReport:
 
 
 class ForceCalculator:
-    """Evaluates all force-field components for one system."""
+    """Evaluates all force-field components for one system.
+
+    The solo calculator runs the NumPy kernel suite; the machine and
+    ensemble engines subclass it with their own suite and deposits.
+    """
+
+    #: Timer name of each force phase.  Engines rename some (the
+    #: ensemble's ``ensemble_*``) so profiles tell their work apart.
+    phases = {p: p for p in ("pair_list", "range_limited", "correction", "kspace",
+                             "deposit", "collect")}
 
     def __init__(self, system: ChemicalSystem, params: MDParams = MDParams()):
         # Deferred import: repro.perf pulls in workload -> repro.core.
@@ -141,47 +152,57 @@ class ForceCalculator:
         self._corr_static = precompute_correction_static(
             system.charges, system.type_ids, system.lj, system.exclusions
         )
+        self.kernels = get_suite("numpy", 1)
+        # Fixed-point scratch reused across evaluations: the pooled
+        # short/long accumulators and the fused pair kernel's outputs.
+        self._acc: dict[str, FixedAccumulator] = {}
+        self._pair_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._pair_spec = None
+        self._pair_spec_codec = None
 
     # -- contribution gathering -------------------------------------------
 
-    def _range_limited(self, positions: np.ndarray):
+    def _nonbonded(self, pairs):
         s = self.system
-        with self.timers.time("pair_list"):
+        if self.tables is not None:
+            return nonbonded_real_space_tabulated(
+                pairs, s.charges, s.type_ids, s.lj, s.exclusions, self.tables,
+                assume_filtered=True,
+            )
+        return nonbonded_real_space(
+            pairs, s.charges, s.type_ids, s.lj, s.exclusions, self.sigma,
+            lj_mode=self.params.lj_mode, cutoff=self.params.cutoff,
+            assume_filtered=True,
+        )
+
+    def _range_limited(self, positions: np.ndarray):
+        with self.timers.time(self.phases["pair_list"]):
             pairs = self.neighbor_list.pairs(positions)
-        with self.timers.time("range_limited"):
-            if self.tables is not None:
-                nb = nonbonded_real_space_tabulated(
-                    pairs,
-                    s.charges,
-                    s.type_ids,
-                    s.lj,
-                    s.exclusions,
-                    self.tables,
-                    assume_filtered=True,
-                )
-            else:
-                nb = nonbonded_real_space(
-                    pairs,
-                    s.charges,
-                    s.type_ids,
-                    s.lj,
-                    s.exclusions,
-                    self.sigma,
-                    lj_mode=self.params.lj_mode,
-                    cutoff=self.params.cutoff,
-                    assume_filtered=True,
-                )
-        return nb
+        with self.timers.time(self.phases["range_limited"]):
+            return self._nonbonded(pairs)
 
     def _bonded(self, positions: np.ndarray):
         with self.timers.time("bonded"):
             return all_bonded_forces(positions, self.system.box, self.system.topology)
 
     def _corrections(self, positions: np.ndarray):
-        with self.timers.time("correction"):
+        with self.timers.time(self.phases["correction"]):
             return correction_forces_static(
                 positions, self.system.box, self._corr_static, self.sigma
             )
+
+    def _long_energies(self, corr, e_k) -> dict:
+        return {
+            "correction": corr.energy_exclusion + corr.energy_14_coul,
+            "lj14": corr.energy_14_lj,
+            "coulomb_kspace": e_k,
+            "coulomb_self": self._e_self,
+        }
+
+    def _kspace(self, positions: np.ndarray):
+        """(energy, dense float forces) of the GSE mesh part."""
+        with self.timers.time(self.phases["kspace"]):
+            return self.gse.kspace(positions, self.system.charges, codec=self.mesh_codec)
 
     # -- float path -----------------------------------------------------------
 
@@ -199,17 +220,11 @@ class ForceCalculator:
         np.add.at(forces, corr.j, -corr.force)
         e_k = 0.0
         if self.gse is not None:
-            with self.timers.time("kspace"):
-                e_k, f_k = self.gse.kspace(positions, s.charges, codec=self.mesh_codec)
+            e_k, f_k = self._kspace(positions)
             forces += f_k
-        energies = {
-            "correction": corr.energy_exclusion + corr.energy_14_coul,
-            "lj14": corr.energy_14_lj,
-            "coulomb_kspace": e_k,
-            "coulomb_self": self._e_self,
-        }
         return ForceReport(
-            forces=forces, energies=energies, timings=self.timers.delta_since(before)
+            forces=forces, energies=self._long_energies(corr, e_k),
+            timings=self.timers.delta_since(before),
         )
 
     def compute(self, positions: np.ndarray, include_long_range: bool = True) -> ForceReport:
@@ -246,6 +261,116 @@ class ForceCalculator:
         )
 
     # -- fixed-point path ---------------------------------------------------------
+    #
+    # One skeleton serves the solo, machine and ensemble engines: every
+    # contribution is quantized once and integer-accumulated, so an
+    # engine decides only *where* the same codes are deposited
+    # (``_deposit_*``, ``_kspace_fixed``) and how energies are reduced
+    # (``_pair_energies``, ``_term_energies``), never the force bits.
+
+    def _accumulator(self, slot: str, force_codec) -> FixedAccumulator:
+        """A zeroed per-evaluation accumulator from the reuse pool.
+
+        Two slots ("short", "long") exist because the long-range pass
+        runs while the short-range accumulator is live.  Callers
+        consume ``acc.raw()``/``acc.total()`` before the next evaluation
+        (the MTS provider and :meth:`compute_fixed` both do), so reuse
+        is invisible.
+        """
+        acc = self._acc.get(slot)
+        shape = (self.system.n_atoms, 3)
+        if acc is None or acc.shape != shape or acc.fmt != force_codec.fmt:
+            acc = self._acc[slot] = FixedAccumulator(shape, force_codec.fmt)
+        else:
+            acc.zero()
+        return acc
+
+    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(codes, e_lj, e_coul) output scratch for >= ``n`` pairs."""
+        out = self._pair_out
+        if out is None or out[0].shape[0] < n:
+            cap = max(int(n * 1.25), 1024)
+            out = (
+                np.empty((cap, 3), dtype=np.int64),
+                np.empty(cap, dtype=np.float64),
+                np.empty(cap, dtype=np.float64),
+            )
+            self._pair_out = out
+        return out
+
+    def _range_limited_codes(self, positions: np.ndarray, force_codec):
+        """Range-limited pair result plus its quantized int64 force codes.
+
+        With tabulated kernels on the compiled tier this is the fused C
+        kernel (table evaluation straight to codes, no intermediate
+        float force array); otherwise the NumPy kernels plus one
+        quantization.  Codes and energies are bitwise identical either
+        way — the fused kernel's contract.
+        """
+        with self.timers.time(self.phases["pair_list"]):
+            pairs = self.neighbor_list.pairs(positions)
+        with self.timers.time(self.phases["range_limited"]):
+            if self.kernels.tier != "compiled" or self.tables is None:
+                nb = self._nonbonded(pairs)
+                return nb, force_codec.quantize_round_only(nb.force)
+            s = self.system
+            if self._pair_spec is None or self._pair_spec_codec is not force_codec:
+                self._pair_spec = make_pair_spec(
+                    self.tables, s.lj, s.charges, s.type_ids, force_codec
+                )
+                self._pair_spec_codec = force_codec
+            n = len(pairs.i)
+            codes, e_lj, e_coul = self._pair_buffers(n)
+            self.kernels.pair_table_codes(
+                self._pair_spec, pairs.i, pairs.j, pairs.dx, pairs.r2,
+                codes, e_lj, e_coul,
+            )
+            nb = NonbondedResult(
+                energy_lj=float(np.sum(e_lj[:n])),
+                energy_coul=float(np.sum(e_coul[:n])),
+                i=pairs.i,
+                j=pairs.j,
+                force=None,
+                e_lj_pairs=e_lj[:n],
+                e_coul_pairs=e_coul[:n],
+            )
+        return nb, codes[:n]
+
+    def _deposit_range_limited(self, positions, force_codec, acc) -> NonbondedResult:
+        """Compute and deposit the range-limited pairs; return the pair result."""
+        nb, codes = self._range_limited_codes(positions, force_codec)
+        with self.timers.time(self.phases["deposit"]):
+            self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
+        return nb
+
+    def _deposit_bonded(self, acc, bonded, force_codec) -> None:
+        with self.timers.time(self.phases["deposit"]):
+            for contrib in bonded:
+                if contrib.n_terms:
+                    c = force_codec.quantize_round_only(contrib.force)
+                    self.kernels.scatter_rows(acc.raw(), contrib.idx.ravel(), c.reshape(-1, 3))
+
+    def _deposit_corrections(self, acc, corr, force_codec) -> None:
+        with self.timers.time(self.phases["deposit"]):
+            ccodes = force_codec.quantize_round_only(corr.force)
+            self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
+
+    def _kspace_fixed(self, positions, acc, force_codec):
+        """Deposit the mesh forces; return the k-space energy."""
+        if self.gse is None:
+            return 0.0
+        e_k, f_k = self._kspace(positions)
+        with self.timers.time(self.phases["deposit"]):
+            acc.deposit_dense(force_codec.quantize_round_only(f_k))
+        return e_k
+
+    def _pair_energies(self, nb):
+        """(LJ, real-space Coulomb) energies of the range-limited pairs."""
+        return nb.energy_lj, nb.energy_coul
+
+    def _term_energies(self, bonded):
+        """(bond, angle, dihedral) energies."""
+        return tuple(contrib.energy for contrib in bonded)
 
     def compute_long_fixed(
         self, positions: np.ndarray, force_codec
@@ -255,24 +380,11 @@ class ForceCalculator:
         Raw (unwrapped) int64 sums — callers combine with short-range
         codes and wrap once.  No vsite redistribution here.
         """
-        s = self.system
-        acc = FixedAccumulator((s.n_atoms, 3), force_codec.fmt)
+        acc = self._accumulator("long", force_codec)
         corr = self._corrections(positions)
-        ccodes = force_codec.quantize_round_only(corr.force)
-        acc.deposit(corr.i, ccodes)
-        acc.deposit(corr.j, -ccodes)
-        e_k = 0.0
-        if self.gse is not None:
-            with self.timers.time("kspace"):
-                e_k, f_k = self.gse.kspace(positions, s.charges, codec=self.mesh_codec)
-            acc.deposit_dense(force_codec.quantize_round_only(f_k))
-        energies = {
-            "correction": corr.energy_exclusion + corr.energy_14_coul,
-            "lj14": corr.energy_14_lj,
-            "coulomb_kspace": e_k,
-            "coulomb_self": self._e_self,
-        }
-        return acc.raw(), energies
+        self._deposit_corrections(acc, corr, force_codec)
+        e_k = self._kspace_fixed(positions, acc, force_codec)
+        return acc.raw(), self._long_energies(corr, e_k)
 
     def compute_fixed(
         self, positions: np.ndarray, force_codec, include_long_range: bool = True
@@ -284,42 +396,34 @@ class ForceCalculator:
         integer-accumulated, so the total is independent of evaluation
         and summation order — the machine simulation distributes these
         same contributions over nodes and obtains identical bits.
+        Energy keys are inserted in one fixed order, so summing a
+        report's values always runs the same float additions.
         """
-        s = self.system
-        n = s.n_atoms
         before = self.timers.snapshot()
-        acc = FixedAccumulator((n, 3), force_codec.fmt)
-        energies: dict[str, float] = {}
+        acc = self._accumulator("short", force_codec)
+        energies: dict = {}
 
-        nb = self._range_limited(positions)
-        codes = force_codec.quantize_round_only(nb.force)
-        acc.deposit(nb.i, codes)
-        acc.deposit(nb.j, -codes)
-        energies["lj"] = nb.energy_lj
-        energies["coulomb_real"] = nb.energy_coul
+        nb = self._deposit_range_limited(positions, force_codec, acc)
+        energies["lj"], energies["coulomb_real"] = self._pair_energies(nb)
 
         bonded = self._bonded(positions)
-        for contrib in bonded:
-            if contrib.n_terms:
-                c = force_codec.quantize_round_only(contrib.force)
-                acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
-        energies["bond"] = bonded[0].energy
-        energies["angle"] = bonded[1].energy
-        energies["dihedral"] = bonded[2].energy
+        self._deposit_bonded(acc, bonded, force_codec)
+        energies["bond"], energies["angle"], energies["dihedral"] = self._term_energies(bonded)
 
         if include_long_range:
             long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
-            acc.deposit_dense(long_codes)
+            with self.timers.time(self.phases["deposit"]):
+                acc.deposit_dense(long_codes)
             energies.update(long_energies)
 
-        total = acc.total()
-        total = self._spread_vsite_codes(total)
-        report = ForceReport(
-            forces=force_codec.reconstruct(total),
-            energies=energies,
-            n_pairs=nb.n_pairs,
-            timings=self.timers.delta_since(before),
-        )
+        with self.timers.time(self.phases["collect"]):
+            total = self._spread_vsite_codes(acc.total())
+            report = ForceReport(
+                forces=force_codec.reconstruct(total),
+                energies=energies,
+                n_pairs=nb.n_pairs,
+                timings=self.timers.delta_since(before),
+            )
         return total, report
 
     def _spread_vsite_codes(self, codes: np.ndarray) -> np.ndarray:

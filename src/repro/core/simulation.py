@@ -16,7 +16,7 @@ from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
 from repro.core.integrator import FixedPointConfig, FixedPointIntegrator, VelocityVerlet
 from repro.core.system import ChemicalSystem
-from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint
+from repro.io import TrajectoryWriter, check_fingerprint, codes_decode, system_fingerprint
 
 __all__ = ["EnergyRecord", "Simulation", "minimize_energy"]
 
@@ -257,14 +257,7 @@ class Simulation:
         positions/velocities bit-exactly without the system objects.
         """
         if self.mode == "fixed":
-            cfg = self.fixed_config
-            decode = {
-                "storage": "codes",
-                "position_bits": cfg.position_bits,
-                "box": [float(x) for x in self.system.box.lengths],
-                "velocity_bits": cfg.velocity_bits,
-                "velocity_limit": cfg.velocity_limit,
-            }
+            decode = codes_decode(self.fixed_config, self.system.box)
         else:
             decode = {
                 "storage": "float",

@@ -53,17 +53,11 @@ from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
 from repro.ewald import self_energy
 from repro.ewald.correction import _segment_sums, correction_forces_static
-from repro.fixedpoint import FixedAccumulator
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
-from repro.forcefield.nonbonded import (
-    NonbondedResult,
-    nonbonded_real_space,
-    nonbonded_real_space_tabulated,
-)
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
-from repro.io import TrajectoryWriter, system_fingerprint
-from repro.kernels import get_suite, make_pair_spec
+from repro.io import TrajectoryWriter, codes_decode, system_fingerprint
+from repro.kernels import get_suite
 
 __all__ = [
     "tile_system",
@@ -157,6 +151,8 @@ class EnsembleForceCalculator(ForceCalculator):
     the hierarchical profile attributes batched work separately.
     """
 
+    phases = {k: "ensemble_" + v for k, v in ForceCalculator.phases.items()}
+
     def __init__(
         self,
         system: ChemicalSystem,
@@ -184,43 +180,14 @@ class EnsembleForceCalculator(ForceCalculator):
             timers=self.timers,
             kernels=self.kernels,
         )
-        # The tiled ``_e_self`` is the R-fold total; each replica's
-        # self energy is the solo scalar.
-        self._e_self_solo = self_energy(system.charges[:n_solo], self.sigma)
+        # Each replica's self energy is the solo scalar (the tiled
+        # system's would be the R-fold total).
+        self._e_self = np.full(
+            self.replicas, self_energy(system.charges[:n_solo], self.sigma)
+        )
         # Pair-index boundaries between replica blocks (ascending i).
         self._bounds = np.arange(1, replicas, dtype=np.int64) * np.int64(n_solo)
         self._plan = None
-        self._pair_spec = None
-        self._pair_spec_codec = None
-        self._pair_out = None
-        self._acc_short = None
-        self._acc_long = None
-
-    # -- scratch -----------------------------------------------------------
-
-    def _accumulator(self, slot: str, force_codec) -> FixedAccumulator:
-        """Zeroed persistent accumulator (no per-evaluation allocation)."""
-        acc = getattr(self, "_acc_" + slot)
-        shape = (self.system.n_atoms, 3)
-        if acc is None or acc.shape != shape or acc.fmt != force_codec.fmt:
-            acc = FixedAccumulator(shape, force_codec.fmt)
-            setattr(self, "_acc_" + slot, acc)
-        else:
-            acc.zero()
-        return acc
-
-    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(codes, e_lj, e_coul) output scratch for >= ``n`` pairs."""
-        out = self._pair_out
-        if out is None or out[0].shape[0] < n:
-            cap = max(int(n * 1.25), 1024)
-            out = (
-                np.empty((cap, 3), dtype=np.int64),
-                np.empty(cap, dtype=np.float64),
-                np.empty(cap, dtype=np.float64),
-            )
-            self._pair_out = out
-        return out
 
     # -- per-replica reductions --------------------------------------------
 
@@ -240,63 +207,34 @@ class EnsembleForceCalculator(ForceCalculator):
             lo = hi
         return out
 
-    # -- range-limited ------------------------------------------------------
+    def _pair_energies(self, nb):
+        with self.timers.time("ensemble_energies"):
+            return (
+                self._pair_segment_sums(nb.i, nb.e_lj_pairs),
+                self._pair_segment_sums(nb.i, nb.e_coul_pairs),
+            )
 
-    def _range_limited_ensemble(
-        self, positions: np.ndarray, force_codec
-    ) -> tuple[NonbondedResult, np.ndarray]:
-        """Pair result + quantized force codes, one batched kernel pass.
+    def _term_energies(self, bonded):
+        with self.timers.time("ensemble_energies"):
+            return tuple(_segment_sums(c.energy_terms, self.replicas) for c in bonded)
 
-        Mirrors the machine's fused dispatch: the compiled tier with
-        tabulated kernels runs ``pair_table_codes`` straight to codes;
-        otherwise the classic NumPy evaluation plus one quantization
-        (bitwise identical either way — the fused kernel's contract).
-        """
-        k = self.kernels
-        s = self.system
-        if k.tier == "compiled" and self.tables is not None:
-            with self.timers.time("ensemble_pair_list"):
-                pairs = self.neighbor_list.pairs(positions)
-            with self.timers.time("ensemble_range_limited"):
-                if self._pair_spec is None or self._pair_spec_codec is not force_codec:
-                    self._pair_spec = make_pair_spec(
-                        self.tables, s.lj, s.charges, s.type_ids, force_codec
-                    )
-                    self._pair_spec_codec = force_codec
-                n = len(pairs.i)
-                codes, e_lj, e_coul = self._pair_buffers(n)
-                k.pair_table_codes(
-                    self._pair_spec, pairs.i, pairs.j, pairs.dx, pairs.r2,
-                    codes, e_lj, e_coul,
-                )
-                nb = NonbondedResult(
-                    energy_lj=float(np.sum(e_lj[:n])),
-                    energy_coul=float(np.sum(e_coul[:n])),
-                    i=pairs.i,
-                    j=pairs.j,
-                    force=None,
-                    e_lj_pairs=e_lj[:n],
-                    e_coul_pairs=e_coul[:n],
-                )
-            return nb, codes[:n]
-        with self.timers.time("ensemble_pair_list"):
-            pairs = self.neighbor_list.pairs(positions)
-        with self.timers.time("ensemble_range_limited"):
-            if self.tables is not None:
-                nb = nonbonded_real_space_tabulated(
-                    pairs, s.charges, s.type_ids, s.lj, s.exclusions,
-                    self.tables, assume_filtered=True,
-                )
-            else:
-                nb = nonbonded_real_space(
-                    pairs, s.charges, s.type_ids, s.lj, s.exclusions,
-                    self.sigma, lj_mode=self.params.lj_mode,
-                    cutoff=self.params.cutoff, assume_filtered=True,
-                )
-            codes = force_codec.quantize_round_only(nb.force)
-        return nb, codes
+    def _corrections(self, positions: np.ndarray):
+        with self.timers.time(self.phases["correction"]):
+            return correction_forces_static(
+                positions, self.system.box, self._corr_static, self.sigma,
+                replicas=self.replicas,
+            )
 
     # -- long range ---------------------------------------------------------
+
+    def _kspace_fixed(self, positions, acc, force_codec):
+        if self.gse is None:
+            return np.zeros(self.replicas)
+        return super()._kspace_fixed(positions, acc, force_codec)
+
+    def _kspace(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        with self.timers.time(self.phases["kspace"]):
+            return self._kspace_stack(positions)
 
     def _kspace_stack(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-replica k-space energies and stacked mesh forces.
@@ -380,84 +318,21 @@ class EnsembleForceCalculator(ForceCalculator):
             self.kernels.map_chunks(_interp, R)
         return energies, forces
 
+    # The two entry points are defined here rather than inherited so
+    # that the batched force evaluation is its own attribute of this
+    # class: anything that patches ``EnsembleForceCalculator`` methods
+    # (a tracer, a profiler) sees it apart from the solo evaluation.
+
     def compute_long_fixed(self, positions: np.ndarray, force_codec):
         """Long-range codes with per-replica ``(R,)`` energies."""
-        R = self.replicas
-        acc = self._accumulator("long", force_codec)
-        with self.timers.time("ensemble_correction"):
-            corr = correction_forces_static(
-                positions, self.system.box, self._corr_static, self.sigma,
-                replicas=R,
-            )
-        with self.timers.time("ensemble_deposit"):
-            ccodes = force_codec.quantize_round_only(corr.force)
-            self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
-        e_k = np.zeros(R)
-        if self.gse is not None:
-            with self.timers.time("ensemble_kspace"):
-                e_k, f_k = self._kspace_stack(positions)
-            with self.timers.time("ensemble_deposit"):
-                acc.deposit_dense(force_codec.quantize_round_only(f_k))
-        energies = {
-            "correction": corr.energy_exclusion + corr.energy_14_coul,
-            "lj14": corr.energy_14_lj,
-            "coulomb_kspace": e_k,
-            "coulomb_self": np.full(R, self._e_self_solo),
-        }
-        return acc.raw(), energies
+        return super().compute_long_fixed(positions, force_codec)
 
     def compute_fixed(
         self, positions: np.ndarray, force_codec, include_long_range: bool = True
     ) -> tuple[np.ndarray, ForceReport]:
-        """Batched fixed-point forces with per-replica energy arrays.
-
-        Identical deposits to the solo path (order-invariant integer
-        sums over the same contributions), with each energy re-summed
-        per replica block.  Energy keys are inserted in the exact solo
-        order so per-replica ``sum(energies.values())`` reproduces the
-        solo left-to-right float additions.
-        """
-        s = self.system
-        before = self.timers.snapshot()
-        acc = self._accumulator("short", force_codec)
-        energies: dict[str, np.ndarray] = {}
-
-        nb, codes = self._range_limited_ensemble(positions, force_codec)
-        with self.timers.time("ensemble_deposit"):
-            self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
-        with self.timers.time("ensemble_energies"):
-            energies["lj"] = self._pair_segment_sums(nb.i, nb.e_lj_pairs)
-            energies["coulomb_real"] = self._pair_segment_sums(nb.i, nb.e_coul_pairs)
-
-        bonded = self._bonded(positions)
-        with self.timers.time("ensemble_deposit"):
-            for contrib in bonded:
-                if contrib.n_terms:
-                    c = force_codec.quantize_round_only(contrib.force)
-                    self.kernels.scatter_rows(
-                        acc.raw(), contrib.idx.ravel(), c.reshape(-1, 3)
-                    )
-        with self.timers.time("ensemble_energies"):
-            energies["bond"] = _segment_sums(bonded[0].energy_terms, self.replicas)
-            energies["angle"] = _segment_sums(bonded[1].energy_terms, self.replicas)
-            energies["dihedral"] = _segment_sums(bonded[2].energy_terms, self.replicas)
-
-        if include_long_range:
-            long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
-            with self.timers.time("ensemble_deposit"):
-                acc.deposit_dense(long_codes)
-            energies.update(long_energies)
-
-        with self.timers.time("ensemble_collect"):
-            total = acc.total()
-            total = self._spread_vsite_codes(total)
-            report = ForceReport(
-                forces=force_codec.reconstruct(total),
-                energies=energies,
-                n_pairs=nb.n_pairs,
-                timings=self.timers.delta_since(before),
-            )
-        return total, report
+        """Batched fixed-point forces; each energy is an ``(R,)`` array
+        of per-replica sums, entry by entry bitwise the solo scalars."""
+        return super().compute_fixed(positions, force_codec, include_long_range)
 
 
 # -- constraints -----------------------------------------------------------
@@ -732,16 +607,9 @@ class EnsembleSimulation:
 
     def open_replica_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
         """A solo-format trajectory writer for one replica's frames."""
-        cfg = self.fixed_config
-        decode = {
-            "storage": "codes",
-            "position_bits": cfg.position_bits,
-            "box": [float(x) for x in self.solo_system.box.lengths],
-            "velocity_bits": cfg.velocity_bits,
-            "velocity_limit": cfg.velocity_limit,
-        }
         return TrajectoryWriter(
-            path, fingerprint=self._solo_fingerprint, decode=decode, meta=meta
+            path, fingerprint=self._solo_fingerprint,
+            decode=codes_decode(self.fixed_config, self.solo_system.box), meta=meta,
         )
 
     def write_replica_frame(self, writer: TrajectoryWriter, r: int) -> None:
@@ -816,4 +684,4 @@ class EnsembleSimulation:
         phases appear as ``ensemble_*`` children.  Same coverage /
         ``leaf_coverage`` attribution contract as the machine profile.
         """
-        return self.calc.timers.profile("step", self.integrator.step_count)
+        return self.calc.timers.profile("step")

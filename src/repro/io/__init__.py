@@ -38,7 +38,13 @@ from repro.io.serialize import (
     system_fingerprint,
     unpack_state,
 )
-from repro.io.trajectory import Frame, TrajectoryReader, TrajectoryWriter, VerifyReport
+from repro.io.trajectory import (
+    Frame,
+    TrajectoryReader,
+    TrajectoryWriter,
+    VerifyReport,
+    codes_decode,
+)
 
 __all__ = [
     "CheckpointError",
@@ -56,6 +62,7 @@ __all__ = [
     "TrajectoryReader",
     "TrajectoryWriter",
     "VerifyReport",
+    "codes_decode",
     "replica_checkpoint_dir",
     "replica_checkpoint_store",
     "replica_trajectory_path",

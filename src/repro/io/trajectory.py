@@ -39,7 +39,7 @@ from repro.io.records import (
 )
 from repro.io.serialize import check_fingerprint, pack_state, unpack_state
 
-__all__ = ["Frame", "TrajectoryWriter", "TrajectoryReader", "VerifyReport"]
+__all__ = ["Frame", "TrajectoryWriter", "TrajectoryReader", "VerifyReport", "codes_decode"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,24 @@ def _decode_positions(codes: np.ndarray, bits: int, box_lengths) -> np.ndarray:
     # simulation would report.
     scale = float(np.int64(1) << np.int64(bits)) / np.asarray(box_lengths, dtype=np.float64)
     return codes.astype(np.float64) / scale
+
+
+def codes_decode(fixed_config, box) -> dict:
+    """The ``decode`` header of a trajectory storing raw state codes.
+
+    ``fixed_config`` is the run's
+    :class:`~repro.core.integrator.FixedPointConfig` (datapath widths)
+    and ``box`` its periodic box.  Every fixed-point writer — solo,
+    machine, ensemble replica — uses this one header, so the files are
+    byte-identical across engines.
+    """
+    return {
+        "storage": "codes",
+        "position_bits": fixed_config.position_bits,
+        "box": [float(x) for x in box.lengths],
+        "velocity_bits": fixed_config.velocity_bits,
+        "velocity_limit": fixed_config.velocity_limit,
+    }
 
 
 class TrajectoryWriter:

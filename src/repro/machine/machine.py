@@ -14,10 +14,13 @@ on any single- or multi-node Anton configuration" (Section 4).  The
 integration tests run the same system on 1, 8, and 64 simulated nodes
 and compare trajectories bit-for-bit.
 
-The same invariance also frees the *simulator* to choose how it
-executes each phase: :mod:`repro.machine.backends` provides per-node
-loops (``serial``), array kernels (``vectorized``, the default), and a
-multiprocess pool (``process``), all producing identical state codes.
+The force path is :class:`~repro.core.forces.ForceCalculator`'s
+fixed-point skeleton, shared with the solo and ensemble engines; the
+machine only decides where each quantized contribution is deposited.
+The same invariance frees the *simulator* to choose how it executes
+each phase: :mod:`repro.machine.backends` provides per-node loops
+(``serial``) and array kernels (``vectorized``, the default), both
+producing identical state codes.
 Engine phases are charged to ``machine_*`` timers
 (:meth:`AntonMachine.phase_timings`, :meth:`AntonMachine.engine_seconds`).
 """
@@ -29,13 +32,12 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.constraints import ConstraintSolver
-from repro.core.forces import ForceCalculator, ForceReport, MDParams, MTSForceProvider
+from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
 from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
 from repro.core.system import ChemicalSystem
 from repro.fault import FaultController, FaultSchedule, FaultyNetwork, RecoveryPolicy
 from repro.fft import DistributedFFT3D
-from repro.fixedpoint import FixedAccumulator
-from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint
+from repro.io import TrajectoryWriter, check_fingerprint, codes_decode, system_fingerprint
 from repro.machine.backends import MachineBackend, make_backend
 from repro.machine.config import ANTON_2008, AntonHardware
 from repro.machine.flexible import assign_bond_terms, correction_pairs_per_node
@@ -59,11 +61,14 @@ ENGINE_TIMERS = ("machine_nt_assign", "machine_deposit", "machine_traffic")
 class MachineForceCalculator(ForceCalculator):
     """A ForceCalculator that deposits every contribution per node.
 
-    Produces bit-identical force codes to the base class (integer sums
-    commute) while exercising the machine's work partitioning and
-    charging communication to the simulated network.  *How* each phase
-    executes is delegated to a :class:`~repro.machine.backends.MachineBackend`.
+    Runs the base class's fixed-point skeleton, so its force codes are
+    bit-identical (integer sums commute).  Only the deposits differ:
+    a :class:`~repro.machine.backends.MachineBackend` places them on
+    nodes, and the pair-force returns are charged to the network.
     """
+
+    phases = {**ForceCalculator.phases, "deposit": "machine_deposit",
+              "collect": "machine_collect"}
 
     def __init__(
         self,
@@ -82,156 +87,32 @@ class MachineForceCalculator(ForceCalculator):
         # The neighbor list shares the backend's kernel suite (compiled
         # cutoff filtering when available).
         self.neighbor_list.kernels = backend.kernels
-        # Steady-state scratch: the fused-kernel pair outputs and the
-        # short/long force accumulators are allocated once and reused,
-        # so repeated steps allocate nothing on the hot path.
-        self._pair_spec = None
-        self._pair_spec_codec = None
-        self._pair_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._acc_short: FixedAccumulator | None = None
-        self._acc_long: FixedAccumulator | None = None
 
-    # -- scratch management -------------------------------------------------
+    # -- per-node deposits ---------------------------------------------------
 
-    def _accumulator(self, slot: str, force_codec) -> FixedAccumulator:
-        """A zeroed per-evaluation accumulator from the reuse pool.
-
-        Two slots ("short", "long") exist because the long-range pass
-        runs while the short-range accumulator is live.  Callers
-        consume ``acc.raw()``/``acc.total()`` before the next evaluation
-        (the MTS provider and :meth:`compute_fixed` both do), so reuse
-        is invisible.
-        """
-        acc = getattr(self, "_acc_" + slot)
-        shape = (self.system.n_atoms, 3)
-        if acc is None or acc.shape != shape or acc.fmt != force_codec.fmt:
-            acc = FixedAccumulator(shape, force_codec.fmt)
-            setattr(self, "_acc_" + slot, acc)
-        else:
-            acc.zero()
-        return acc
-
-    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(codes, e_lj, e_coul) output scratch for >= ``n`` pairs."""
-        out = self._pair_out
-        if out is None or out[0].shape[0] < n:
-            cap = max(int(n * 1.25), 1024)
-            out = (
-                np.empty((cap, 3), dtype=np.int64),
-                np.empty(cap, dtype=np.float64),
-                np.empty(cap, dtype=np.float64),
-            )
-            self._pair_out = out
-        return out
-
-    # -- fused range-limited path -------------------------------------------
-
-    def _range_limited_codes(self, positions, force_codec):
-        """Range-limited pair result plus quantized int64 force codes.
-
-        On the compiled tier with tabulated kernels this runs the fused
-        C kernel (table evaluation straight to codes, no intermediate
-        float force array); otherwise it is the classic NumPy path with
-        the quantization charged to an explicit ``machine_quantize``
-        phase.  Codes (and energies) are bitwise identical either way.
-        """
-        k = self.kernels
-        if k.tier == "compiled" and self.tables is not None:
-            from repro.forcefield.nonbonded import NonbondedResult
-            from repro.kernels import make_pair_spec
-
-            s = self.system
-            with self.timers.time("pair_list"):
-                pairs = self.neighbor_list.pairs(positions)
-            with self.timers.time("range_limited"):
-                if self._pair_spec is None or self._pair_spec_codec is not force_codec:
-                    self._pair_spec = make_pair_spec(
-                        self.tables, s.lj, s.charges, s.type_ids, force_codec
-                    )
-                    self._pair_spec_codec = force_codec
-                n = len(pairs.i)
-                codes, e_lj, e_coul = self._pair_buffers(n)
-                k.pair_table_codes(
-                    self._pair_spec, pairs.i, pairs.j, pairs.dx, pairs.r2,
-                    codes, e_lj, e_coul,
-                )
-                nb = NonbondedResult(
-                    energy_lj=float(np.sum(e_lj[:n])),
-                    energy_coul=float(np.sum(e_coul[:n])),
-                    i=pairs.i,
-                    j=pairs.j,
-                    force=None,
-                )
-            return nb, codes[:n]
-        nb = self._range_limited(positions)
-        with self.timers.time("machine_quantize"):
-            codes = force_codec.quantize_round_only(nb.force)
-        return nb, codes
-
-    # -- overridden force paths ---------------------------------------------
-
-    def compute_fixed(self, positions, force_codec, include_long_range: bool = True):
-        s = self.system
-        m = self.machine
-        before = self.timers.snapshot()
-        acc = self._accumulator("short", force_codec)
-        energies: dict[str, float] = {}
-
+    def _deposit_range_limited(self, positions, force_codec, acc):
         # Range-limited pairs: computed on their NT nodes.
         nb, assign = self.backend.range_limited(self, positions, force_codec, acc)
-        m.account_force_export(assign.node, nb.i, nb.j)
-        m.last_pair_assignment = assign
-        energies["lj"] = nb.energy_lj
-        energies["coulomb_real"] = nb.energy_coul
+        self.machine.account_force_export(assign.node, nb.i, nb.j)
+        return nb
 
+    def _deposit_bonded(self, acc, bonded, force_codec) -> None:
         # Bond terms on their statically assigned geometry cores.
-        bonded = self._bonded(positions)
         with self.timers.time("machine_deposit"):
             self.backend.deposit_bonded(self, acc, bonded, force_codec)
-        energies["bond"] = bonded[0].energy
-        energies["angle"] = bonded[1].energy
-        energies["dihedral"] = bonded[2].energy
 
-        if include_long_range:
-            long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
-            acc.deposit_dense(long_codes)
-            energies.update(long_energies)
-
-        # Final assembly (accumulator readout, virtual-site spreading,
-        # float reconstruction) is charged to its own leaf phase so the
-        # profiler's attribution stays tight.
-        with self.timers.time("machine_collect"):
-            total = self._spread_vsite_codes(acc.total())
-            report = ForceReport(
-                forces=force_codec.reconstruct(total),
-                energies=energies,
-                n_pairs=nb.n_pairs,
-                timings=self.timers.delta_since(before),
-            )
-        return total, report
-
-    def compute_long_fixed(self, positions, force_codec):
-        acc = self._accumulator("long", force_codec)
-
+    def _deposit_corrections(self, acc, corr, force_codec) -> None:
         # Correction pairs on their owners' correction pipelines.
-        corr = self._corrections(positions)
         if corr.n_pairs:
             ccodes = force_codec.quantize_round_only(corr.force)
             with self.timers.time("machine_deposit"):
                 self.backend.deposit_corrections(self, acc, corr, ccodes)
 
-        e_k = 0.0
-        if self.gse is not None:
-            with self.timers.time("machine_mesh"):
-                e_k = self.backend.mesh_long_range(self, positions, acc, force_codec)
-
-        energies = {
-            "correction": corr.energy_exclusion + corr.energy_14_coul,
-            "lj14": corr.energy_14_lj,
-            "coulomb_kspace": e_k,
-            "coulomb_self": self._e_self,
-        }
-        return acc.raw(), energies
+    def _kspace_fixed(self, positions, acc, force_codec):
+        if self.gse is None:
+            return 0.0
+        with self.timers.time("machine_mesh"):
+            return self.backend.mesh_long_range(self, positions, acc, force_codec)
 
 
 class AntonMachine:
@@ -247,9 +128,9 @@ class AntonMachine:
     migration_interval:
         Steps between migration passes (paper: 4-8).
     backend:
-        Execution strategy: ``"serial"``, ``"vectorized"`` (default),
-        ``"process"``, or a :class:`~repro.machine.backends.MachineBackend`
-        instance.  State codes are bitwise identical across all of them.
+        Execution strategy: ``"serial"``, ``"vectorized"`` (default), or
+        a :class:`~repro.machine.backends.MachineBackend` instance.
+        State codes are bitwise identical across them.
     kernel_tier:
         Hot-loop implementation suite: ``"numpy"`` or ``"compiled"``
         (lazily built C via :mod:`repro.kernels`, falling back to numpy
@@ -345,7 +226,6 @@ class AntonMachine:
                 system.topology, system.masses, system.box,
                 kernels=self.backend.kernels,
             )
-        self.last_pair_assignment = None
         self.integrator = FixedPointIntegrator(
             system,
             self.provider,
@@ -362,8 +242,9 @@ class AntonMachine:
             )
 
     def close(self) -> None:
-        """Release backend resources (worker pools).  Idempotent."""
-        self.backend.close()
+        """Release held resources.  Idempotent; the in-process backends
+        hold none, so this is a no-op kept for callers' ``finally``
+        blocks."""
 
     # -- traffic accounting -------------------------------------------------
 
@@ -514,16 +395,10 @@ class AntonMachine:
 
     def open_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
         """A :class:`TrajectoryWriter` configured for this machine."""
-        cfg = self.fixed_config
-        decode = {
-            "storage": "codes",
-            "position_bits": cfg.position_bits,
-            "box": [float(x) for x in self.system.box.lengths],
-            "velocity_bits": cfg.velocity_bits,
-            "velocity_limit": cfg.velocity_limit,
-        }
-        return TrajectoryWriter(path, fingerprint=self.fingerprint(),
-                                decode=decode, meta=meta)
+        return TrajectoryWriter(
+            path, fingerprint=self.fingerprint(),
+            decode=codes_decode(self.fixed_config, self.system.box), meta=meta,
+        )
 
     def append_trajectory(self, path) -> TrajectoryWriter:
         """Reopen ``path`` for resumed writing (truncates past-resume frames)."""
@@ -686,7 +561,7 @@ class AntonMachine:
         none of its children counts as unattributed, so this is the
         number that exposes hidden per-step bookkeeping.
         """
-        out = self.calc.timers.profile("machine_step", self.integrator.step_count)
+        out = self.calc.timers.profile("machine_step")
         out["kernel_tier"] = self.backend.kernels.tier
         out["kernel_threads"] = getattr(self.backend.kernels, "threads", 1)
         if self.router is not None:

@@ -36,15 +36,18 @@ class Timers:
     under several parents accumulates into one flat entry, and
     :meth:`snapshot`/:meth:`delta_since` operate on it unchanged);
     ``paths`` additionally keys each total by the "/"-joined stack of
-    enclosing :meth:`time` blocks, which is what :meth:`tree` renders.
+    enclosing :meth:`time` blocks, which is what :meth:`tree` renders;
+    ``entries`` counts how often each top-level phase was entered, the
+    divisor of :meth:`profile`'s per-step figures.
     """
 
-    __slots__ = ("elapsed", "counts", "paths", "_stack")
+    __slots__ = ("elapsed", "counts", "paths", "entries", "_stack")
 
     def __init__(self) -> None:
         self.elapsed: dict[str, float] = {}
         self.counts: dict[str, int] = {}
         self.paths: dict[str, float] = {}
+        self.entries: dict[str, int] = {}
         self._stack: list[str] = []
 
     @contextmanager
@@ -56,6 +59,8 @@ class Timers:
         """
         self._stack.append(name)
         path = "/".join(self._stack)
+        if len(self._stack) == 1:
+            self.entries[name] = self.entries.get(name, 0) + 1
         t0 = perf_counter()
         try:
             yield
@@ -99,6 +104,7 @@ class Timers:
         self.elapsed.clear()
         self.counts.clear()
         self.paths.clear()
+        self.entries.clear()
 
     # -- hierarchy ---------------------------------------------------------
 
@@ -128,11 +134,13 @@ class Timers:
             leaf["seconds"] += secs
         return out
 
-    def profile(self, root: str, steps: int) -> dict:
+    def profile(self, root: str) -> dict:
         """Hierarchical per-step profile with attribution ratios.
 
         Folds the subtree under the top-level ``root`` phase into
-        per-step seconds and computes two ratios against the measured
+        per-step seconds — one step per entry of ``root`` since the
+        last :meth:`reset`, so the figures hold over any timing
+        window — and computes two ratios against the measured
         ``root`` wall time: ``coverage`` (fraction accounted for by the
         root's direct children) and the stricter ``leaf_coverage``
         (fraction attributed all the way down to named leaf phases —
@@ -140,7 +148,8 @@ class Timers:
         unattributed).  Shared by the machine's ``--profile`` dump and
         the ensemble engine so both report under one contract.
         """
-        divisor = max(int(steps), 1)
+        steps = self.entries.get(root, 0)
+        divisor = max(steps, 1)
         total = self.paths.get(root, 0.0)
 
         def scale(node: dict) -> dict:
@@ -163,7 +172,7 @@ class Timers:
         covered = sum(entry["seconds"] for entry in phases.values())
         leaf_covered = sum(leaf_seconds(entry) for entry in phases.values())
         return {
-            "steps": int(steps),
+            "steps": steps,
             "wall_per_step": total / divisor,
             "coverage": covered / total if total > 0.0 else 0.0,
             "leaf_coverage": leaf_covered / total if total > 0.0 else 0.0,

@@ -110,6 +110,14 @@ class JobSpec:
                 f"multiple of record_every ({self.record_every})"
             )
 
+    def params(self):
+        """The run's force parameters: the multiple-time-step water
+        recipe (:func:`~repro.systems.recipes.mts_water_params`).
+        Raises ``ValueError`` for a box that recipe cannot run."""
+        from repro.systems.recipes import mts_water_params
+
+        return mts_water_params(self.waters, self.cutoff)
+
     # -- derived cadences ---------------------------------------------------
 
     @property
@@ -197,20 +205,18 @@ def prepare_job_system(spec: JobSpec):
     """Build the prepared (minimized) system + params for a spec.
 
     This is the exact solo-CLI preparation sequence for the water
-    family (``cmd_simulate``): build, derive the cutoff, minimize 80
-    steps.  Velocities are *not* drawn here — the velocity seed is the
+    family (``cmd_simulate``): the shared recipe's parameters, build,
+    minimize 80 steps.  Velocities are *not* drawn here — the velocity seed is the
     per-job identity, applied by the worker (via the ensemble engine's
     seed list) or by ``initialize_velocities`` on the solo path.
     Deterministic: equal specs (modulo ``seed``/``name``/``priority``)
     yield bitwise-equal prepared systems.
     """
-    from repro.core.forces import MDParams
     from repro.core.simulation import minimize_energy
     from repro.systems import build_water_box
 
+    params = spec.params()
     system = build_water_box(n_molecules=spec.waters, seed=spec.build_seed)
-    cutoff = spec.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-    params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), long_range_every=2)
     minimize_energy(system, params, max_steps=80)
     return system, params
 

@@ -357,6 +357,10 @@ class Server:
         if op == "submit":
             try:
                 spec = JobSpec.from_dict(req.get("spec", {}))
+                # Reject a box the job recipe cannot run here, not as a
+                # failure in a worker.  Validated at submit only, so a
+                # journal replay still restores older jobs as recorded.
+                spec.params()
                 job = self.queue.submit(spec)
             except (TypeError, ValueError, QueueError) as exc:
                 # QueueError covers a resubmitted job name — a client

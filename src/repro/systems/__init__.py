@@ -5,6 +5,7 @@ BPTI system specifications."""
 from repro.systems.benchmarks import BPTI, TABLE4_SYSTEMS, BenchmarkSpec, benchmark_by_name
 from repro.systems.builder import build_hp_system, build_solvated_protein, build_water_box
 from repro.systems.peptide import ProteinFragment, hp_miniprotein, synthetic_protein
+from repro.systems.recipes import machine_water_params, mts_water_params
 from repro.systems.types import (
     BEAD_HYDROPHOBIC,
     BEAD_POLAR,
@@ -27,6 +28,8 @@ __all__ = [
     "build_hp_system",
     "build_solvated_protein",
     "build_water_box",
+    "machine_water_params",
+    "mts_water_params",
     "ProteinFragment",
     "hp_miniprotein",
     "synthetic_protein",

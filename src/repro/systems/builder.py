@@ -25,7 +25,7 @@ from repro.systems.peptide import ProteinFragment, _random_rotation, synthetic_p
 from repro.systems.types import ION_CL, WATER_H, WATER_M, WATER_O, standard_lj_table
 from repro.util import WATER_MOLECULE_DENSITY, make_rng
 
-__all__ = ["build_water_box", "build_solvated_protein", "build_hp_system"]
+__all__ = ["build_water_box", "build_solvated_protein", "build_hp_system", "water_box_side"]
 
 #: Mass and charge of the chloride counter-ion (single LJ particle).
 _CL_MASS = 35.453
@@ -108,6 +108,11 @@ def _water_fragment(
     )
 
 
+def water_box_side(n_molecules: int) -> float:
+    """Side (A) of the cubic box holding ``n_molecules`` waters at ambient density."""
+    return (n_molecules / WATER_MOLECULE_DENSITY) ** (1.0 / 3.0)
+
+
 def build_water_box(
     n_molecules: int | None = None,
     side: float | None = None,
@@ -122,7 +127,7 @@ def build_water_box(
     if n_molecules is None and side is None:
         raise ValueError("give n_molecules and/or side")
     if side is None:
-        side = (n_molecules / WATER_MOLECULE_DENSITY) ** (1.0 / 3.0)
+        side = water_box_side(n_molecules)
     if n_molecules is None:
         n_molecules = int(round(side**3 * WATER_MOLECULE_DENSITY))
     rng = make_rng(seed)

@@ -188,3 +188,16 @@ class TestProfileAttribution:
         phase_names = set(names(prof["phases"]))
         assert any(name.startswith("ensemble_") for name in phase_names)
         assert "mesh_fft" in phase_names
+
+    def test_profile_counts_steps_since_timer_reset(self):
+        base, params = prepared_water()
+        ens = EnsembleSimulation(
+            base, params, dt=1.0, seeds=derive_replica_seeds(7, 2),
+            temperature=TEMPERATURE, constraints=True,
+        )
+        ens.run(3)
+        ens.timers.reset()
+        ens.run(2)
+        prof = ens.profile()
+        assert prof["steps"] == 2
+        assert prof["wall_per_step"] == ens.timers.paths["step"] / 2

@@ -3,17 +3,17 @@
 The paper's parallel-invariance argument (Section 4) — quantize once,
 integer-accumulate, and the distribution of terms is invisible — is
 what lets the simulator swap its own execution strategy: per-node
-Python loops (serial), array kernels (vectorized), or a multiprocess
-worker pool.  These tests pin that claim bit-for-bit: identical state
-codes across backends and node counts, identical traffic statistics,
-and bit-exact checkpoint/restore replay under the process backend.
+Python loops (serial) or array kernels (vectorized).  These tests pin
+that claim bit-for-bit: identical state codes across backends and node
+counts, identical traffic statistics, and bit-exact checkpoint/restore
+replay within and across backends.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import MDParams, minimize_energy
-from repro.machine import AntonMachine, ProcessBackend, make_backend
+from repro.machine import AntonMachine, make_backend
 from repro.systems import build_water_box
 
 PARAMS = MDParams(
@@ -52,24 +52,17 @@ class TestBackendEquivalence:
         np.testing.assert_array_equal(Xs, Xv)
         np.testing.assert_array_equal(Vs, Vv)
 
-    def test_process_vs_serial_bitwise(self, base_system):
-        (Xs, Vs), _, _ = run_machine(base_system, "serial")
-        (Xp, Vp), _, _ = run_machine(base_system, ProcessBackend(n_workers=2))
-        np.testing.assert_array_equal(Xs, Xp)
-        np.testing.assert_array_equal(Vs, Vp)
-
-    def test_process_analytic_kernel_bitwise(self, base_system):
-        # The worker pool also evaluates the analytic (non-tabulated)
-        # kernel path identically.
+    def test_analytic_kernel_bitwise(self, base_system):
+        # The analytic (non-tabulated) kernel path is backend-invariant too.
         params = MDParams(cutoff=4.0, mesh=(16, 16, 16), quantize_mesh_bits=40)
         (Xs, Vs), _, _ = run_machine(
             base_system, "serial", steps=2, params=params
         )
-        (Xp, Vp), _, _ = run_machine(
-            base_system, ProcessBackend(n_workers=2), steps=2, params=params
+        (Xv, Vv), _, _ = run_machine(
+            base_system, "vectorized", steps=2, params=params
         )
-        np.testing.assert_array_equal(Xs, Xp)
-        np.testing.assert_array_equal(Vs, Vp)
+        np.testing.assert_array_equal(Xs, Xv)
+        np.testing.assert_array_equal(Vs, Vv)
 
     def test_traffic_statistics_identical(self, base_system):
         _, tags_s, stats_s = run_machine(base_system, "serial")
@@ -88,11 +81,10 @@ class TestBackendEquivalence:
             make_backend("simd")
 
 
-class TestProcessBackendLifecycle:
+class TestLifecycle:
     def test_close_is_idempotent(self, base_system):
         machine = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
         )
         machine.step(1)
         machine.close()
@@ -101,8 +93,7 @@ class TestProcessBackendLifecycle:
     def test_checkpoint_restore_replay(self, base_system):
         # An uninterrupted 6-step run...
         reference = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
         )
         try:
             reference.step(3)
@@ -116,8 +107,7 @@ class TestProcessBackendLifecycle:
         # fresh machine (migration occurs at step 4, inside the replay
         # window, so the restored migration clock is exercised too).
         resumed = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
         )
         try:
             resumed.restore(chk)
@@ -129,11 +119,10 @@ class TestProcessBackendLifecycle:
         np.testing.assert_array_equal(V_ref, V_res)
 
     def test_checkpoint_restore_across_backends(self, base_system):
-        # A serial machine resumes a process-backend checkpoint: the
+        # A serial machine resumes a vectorized-backend checkpoint: the
         # snapshot is backend-independent integer state.
         donor = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
         )
         try:
             donor.step(2)
@@ -177,6 +166,20 @@ class TestStepProfile:
         for phase in ("mesh_spread", "mesh_fft", "mesh_interp"):
             assert phase in mesh
             assert mesh[phase]["seconds_per_step"] > 0.0
+
+    def test_profile_counts_steps_since_timer_reset(self, base_system):
+        machine = AntonMachine(
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
+        )
+        try:
+            machine.step(3)
+            machine.calc.timers.reset()
+            machine.step(2)
+            prof = machine.profile()
+        finally:
+            machine.close()
+        assert prof["steps"] == 2
+        assert prof["wall_per_step"] == machine.calc.timers.paths["machine_step"] / 2
 
     def test_phase_timings_include_mesh_subphases(self, base_system):
         machine = AntonMachine(

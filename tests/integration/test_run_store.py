@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import MDParams, Simulation, minimize_energy
 from repro.io import CheckpointStore, FingerprintMismatch, TrajectoryReader
-from repro.machine import AntonMachine, ProcessBackend
+from repro.machine import AntonMachine
 from repro.systems import build_water_box
 
 SIM_PARAMS = MDParams(cutoff=4.2, mesh=(16, 16, 16), long_range_every=2)
@@ -121,14 +121,11 @@ class TestSimulationDiskRoundTrip:
 
 
 class TestMachineDiskRoundTrip:
-    @pytest.mark.parametrize(
-        "backend", ["serial", "vectorized", pytest.param("process", id="process")]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
     def test_disk_resume_bitwise(self, base_system, backend, tmp_path):
         def make(n_nodes=8):
-            b = ProcessBackend(n_workers=2) if backend == "process" else backend
             return AntonMachine(
-                base_system.copy(), MACHINE_PARAMS, n_nodes=n_nodes, dt=1.0, backend=b
+                base_system.copy(), MACHINE_PARAMS, n_nodes=n_nodes, dt=1.0, backend=backend
             )
 
         reference = make()

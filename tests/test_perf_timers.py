@@ -83,6 +83,22 @@ class TestTimers:
         sub = t.tree("step")
         assert set(sub) == {"force"}
 
+    def test_profile_divides_by_root_entries_since_reset(self):
+        t = Timers()
+        for _ in range(3):
+            with t.time("step"):
+                with t.time("force"):
+                    pass
+        t.reset()
+        for _ in range(2):
+            with t.time("step"):
+                with t.time("step"):  # nested re-entry is not a new step
+                    pass
+        prof = t.profile("step")
+        assert prof["steps"] == 2
+        assert prof["wall_per_step"] == t.paths["step"] / 2
+        assert t.profile("absent")["steps"] == 0
+
     def test_exception_inside_block_still_charges(self):
         t = Timers()
         try:

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.serve import JobSpec, ServeConfig, Server
+from repro.serve.queue import JobQueue
 from repro.serve.scheduler import Assignment
 from repro.serve.server import _Worker
 
@@ -92,6 +93,25 @@ class TestRequestArmor:
         assert resp == {"ok": False, "error": "job id 'dup' already exists"}
         server.tick()  # the loop is still healthy
         assert len(server._handle_request({"op": "jobs"})["jobs"]) == 1
+
+    def test_unservable_box_refused_at_submit(self, server):
+        # The job recipe's 16^3 mesh cannot serve a 96-water box: the
+        # submit op says so instead of queueing a job that would fail
+        # in a worker.
+        spec = JobSpec(name="big", **{**SPEC, "waters": 96}).to_dict()
+        resp = server._handle_request({"op": "submit", "spec": spec})
+        assert resp["ok"] is False
+        assert resp["error"].startswith("96 waters")
+        assert "\n" not in resp["error"]
+        assert server._handle_request({"op": "jobs"})["jobs"] == []
+
+    def test_journaled_unservable_job_still_replays(self, tmp_path):
+        # An older journal may hold a job that is now refused at
+        # submit; replaying it restores the job as recorded.
+        with JobQueue(tmp_path) as q:
+            q.submit(JobSpec(name="old", **{**SPEC, "waters": 96}))
+        with JobQueue(tmp_path) as q:
+            assert q.jobs["old"].spec.waters == 96
 
     def test_malformed_request_never_raises(self, server):
         # Even a request the dispatcher never anticipated (wrong type,
