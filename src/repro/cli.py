@@ -329,10 +329,41 @@ def _open_store(args):
     return store, loaded
 
 
+def _run_stored(args, engine, stores=(), loaded=None, trajectories=(), energy_logs=(),
+                trajectory_every=0, record_every=0) -> None:
+    """Resume ``engine`` from ``loaded``, run to ``--steps``, save final checkpoints.
+
+    The one run path of ``simulate``, ``machine`` and ``ensemble``;
+    ``stores``, ``trajectories`` and ``energy_logs`` hold one store or
+    path per replica (see :func:`repro.core.run.open_sinks`).
+    """
+    from repro.core.run import close_sinks, open_sinks, run_steps, save_checkpoints
+
+    steps = args.steps
+    if loaded is not None:
+        engine.restore(loaded.state)
+        done = engine.integrator.step_count
+        steps = max(0, args.steps - done)
+        print(f"resumed from {loaded.path} at step {done} ({steps} steps remain)")
+    writers, logs = open_sinks(engine, trajectories, energy_logs, resume=loaded is not None)
+    try:
+        run_steps(
+            engine, steps,
+            record_every=record_every, energy_writers=logs,
+            trajectories=writers, trajectory_every=trajectory_every,
+            checkpoint_stores=stores, checkpoint_every=args.checkpoint_every,
+        )
+        finals = save_checkpoints(engine, stores, writers)
+    finally:
+        close_sinks(writers, logs)
+    if finals:
+        print(f"final checkpoint: {finals[0]}" + (" ..." if len(finals) > 1 else ""))
+
+
 def cmd_simulate(args) -> int:
     from dataclasses import replace
 
-    from repro import BerendsenThermostat, EnergyLogWriter, MDParams, Simulation, minimize_energy
+    from repro import BerendsenThermostat, MDParams, Simulation, minimize_energy
     from repro.systems import (
         benchmark_by_name,
         build_hp_system,
@@ -372,44 +403,15 @@ def cmd_simulate(args) -> int:
         thermostat=BerendsenThermostat(args.temperature),
         constraints=True,
     )
-    steps = args.steps
-    if loaded is not None:
-        sim.restore(loaded.state)
-        done = sim.integrator.step_count
-        steps = max(0, args.steps - done)
-        print(f"resumed from {loaded.path} at step {done} ({steps} steps remain)")
-
-    trajectory = None
-    trajectory_every = args.trajectory_every or args.record_every
-    if args.trajectory:
-        if loaded is not None and os.path.exists(args.trajectory):
-            trajectory = sim.append_trajectory(args.trajectory)
-        else:
-            trajectory = sim.open_trajectory(args.trajectory)
-    energy_writer = None
-    if args.energy_log:
-        energy_writer = EnergyLogWriter(args.energy_log, append=loaded is not None)
-
-    try:
-        print(f"{'step':>8} {'E_total':>14} {'T (K)':>8}")
-        for rec in sim.run(
-            steps,
-            record_every=args.record_every,
-            energy_writer=energy_writer,
-            trajectory=trajectory,
-            trajectory_every=trajectory_every,
-            checkpoint_store=store,
-            checkpoint_every=args.checkpoint_every,
-        ):
-            print(f"{rec.step:>8} {rec.total:>14.4f} {rec.temperature:>8.0f}")
-    finally:
-        if trajectory is not None:
-            trajectory.close()
-        if energy_writer is not None:
-            energy_writer.close()
-    if store is not None:
-        final = store.save(sim.checkpoint(), sim.integrator.step_count)
-        print(f"final checkpoint: {final}")
+    _run_stored(
+        args, sim, stores=[store], loaded=loaded,
+        trajectories=[args.trajectory], energy_logs=[args.energy_log],
+        trajectory_every=args.trajectory_every or args.record_every,
+        record_every=args.record_every,
+    )
+    print(f"{'step':>8} {'E_total':>14} {'T (K)':>8}")
+    for rec in sim.energy_log:
+        print(f"{rec.step:>8} {rec.total:>14.4f} {rec.temperature:>8.0f}")
     nl = sim.calc.neighbor_list
     print(f"neighbor list: {nl.n_builds} builds / {nl.n_reuses} reuses "
           f"(skin {nl.effective_skin:.1f} A, {nl.n_candidates} cached pairs)")
@@ -458,40 +460,19 @@ def cmd_ensemble(args) -> int:
         f"(threads: {getattr(ens.kernels, 'threads', 1)})"
     )
 
-    trajectories = None
-    trajectory_every = args.trajectory_every or args.record_every
-    if args.trajectory:
-        trajectories = [
-            ens.open_replica_trajectory(replica_trajectory_path(args.trajectory, r))
-            for r in range(ens.replicas)
-        ]
-    stores = None
-    if args.checkpoint_dir:
-        stores = [
-            replica_checkpoint_store(args.checkpoint_dir, r, retain=args.retain)
-            for r in range(ens.replicas)
-        ]
-    try:
-        print(f"{'step':>8}  " + "  ".join(f"{'E_r%d' % r:>12}" for r in range(ens.replicas)))
-        for recs in zip(*ens.run(
-            args.steps,
-            record_every=args.record_every,
-            trajectories=trajectories,
-            trajectory_every=trajectory_every,
-            checkpoint_stores=stores,
-            checkpoint_every=args.checkpoint_every,
-        )):
-            print(f"{recs[0].step:>8}  " + "  ".join(f"{rec.total:>12.4f}" for rec in recs))
-    finally:
-        if trajectories is not None:
-            for writer in trajectories:
-                writer.close()
-    if stores is not None:
-        step = ens.integrator.step_count
-        for r, store in enumerate(stores):
-            final = store.save(ens.replica_checkpoint(r), step)
-            if r == 0:
-                print(f"final checkpoints: {final} ...")
+    replicas = range(ens.replicas)
+    _run_stored(
+        args, ens,
+        stores=[replica_checkpoint_store(args.checkpoint_dir, r, retain=args.retain)
+                for r in replicas] if args.checkpoint_dir else (),
+        trajectories=[replica_trajectory_path(args.trajectory, r)
+                      for r in replicas] if args.trajectory else (),
+        trajectory_every=args.trajectory_every or args.record_every,
+        record_every=args.record_every,
+    )
+    print(f"{'step':>8}  " + "  ".join(f"{'E_r%d' % r:>12}" for r in replicas))
+    for recs in zip(*ens.energy_logs):
+        print(f"{recs[0].step:>8}  " + "  ".join(f"{rec.total:>12.4f}" for rec in recs))
     temps = [ens.energy_logs[r][-1].temperature if ens.energy_logs[r] else float("nan")
              for r in range(ens.replicas)]
     print("final T (K): " + ", ".join(f"{t:.0f}" for t in temps))
@@ -548,32 +529,10 @@ def cmd_machine(args) -> int:
         routed=_routed_config(args) if args.routed else False,
         **fault_kwargs,
     )
-    steps = args.steps
-    if loaded is not None:
-        machine.restore(loaded.state)
-        done = machine.integrator.step_count
-        steps = max(0, args.steps - done)
-        print(f"resumed from {loaded.path} at step {done} ({steps} steps remain)")
-    trajectory = None
-    if args.trajectory:
-        if loaded is not None and os.path.exists(args.trajectory):
-            trajectory = machine.append_trajectory(args.trajectory)
-        else:
-            trajectory = machine.open_trajectory(args.trajectory)
-    try:
-        machine.run(
-            steps,
-            trajectory=trajectory,
-            trajectory_every=args.trajectory_every,
-            checkpoint_store=store,
-            checkpoint_every=args.checkpoint_every,
-        )
-    finally:
-        if trajectory is not None:
-            trajectory.close()
-    if store is not None:
-        final = store.save(machine.checkpoint(), machine.integrator.step_count)
-        print(f"final checkpoint: {final}")
+    _run_stored(
+        args, machine, stores=[store], loaded=loaded,
+        trajectories=[args.trajectory], trajectory_every=args.trajectory_every,
+    )
     print(f"{args.nodes}-node machine, {args.steps} steps "
           f"({machine.topology.dims[0]}x{machine.topology.dims[1]}x{machine.topology.dims[2]} torus), "
           f"{args.backend} backend")

@@ -29,6 +29,7 @@ from repro.core.constraints import ConstraintSolver
 from repro.core.system import ChemicalSystem
 from repro.fixedpoint import FixedFormat, ScaledFixed, round_nearest_even
 from repro.geometry import Box
+from repro.io import codes_decode
 from repro.util import ACCEL_UNIT
 
 __all__ = ["FixedPointConfig", "PositionCodec", "FixedPointIntegrator", "VelocityVerlet"]
@@ -91,7 +92,50 @@ class PositionCodec:
             return np.mod(codes + delta, self.modulus)
 
 
-class FixedPointIntegrator:
+class _Integrator:
+    """State I/O shared by both integrators.
+
+    ``state_keys`` names the attributes holding the exact dynamic state
+    (integer codes on the fixed-point path, float64 arrays on the float
+    path); checkpoints and trajectory frames store exactly these.
+    """
+
+    state_keys: tuple[str, str]
+
+    def state_arrays(self, rows=slice(None)) -> dict:
+        """Copies of the exact state of atom ``rows``, keyed as stored."""
+        return {key: getattr(self, key)[rows].copy() for key in self.state_keys}
+
+    def restore(self, chk: dict) -> None:
+        """Continue bit-exactly from a checkpoint of a compatible run.
+
+        Loads the state arrays and step count, then rebuilds the cached
+        forces by replaying the evaluation the original run performed
+        at this state: the MTS counter is rewound to its checkpointed
+        value (less the call the constructor consumed), so the replay
+        keeps the long-range schedule phase.  The buffered neighbor
+        list needs no state: its pair set is a pure function of the
+        current positions.
+        """
+        n = len(chk[self.state_keys[0]])
+        if n != self.system.n_atoms:
+            raise ValueError(
+                f"checkpoint holds {n} atoms, this simulation has {self.system.n_atoms}"
+            )
+        for key in self.state_keys:
+            setattr(self, key, chk[key].copy())
+        self.step_count = int(chk["step_count"])
+        self.force_fn.calls = int(chk["provider_calls"]) - 1
+        self._evaluate_forces()
+
+    def kinetic_energy(self) -> float:
+        return self.system.kinetic_energy(self.velocities)
+
+    def temperature(self) -> float:
+        return self.system.temperature(self.velocities)
+
+
+class FixedPointIntegrator(_Integrator):
     """Velocity Verlet on fixed-point state.
 
     Parameters
@@ -119,6 +163,8 @@ class FixedPointIntegrator:
         observational only — a fresh private registry is used when none
         is supplied.
     """
+
+    state_keys = ("X", "V")
 
     def __init__(
         self,
@@ -163,7 +209,7 @@ class FixedPointIntegrator:
         )[:, None]
         # Velocity codes -> position-code increments, per axis.
         self._drift = (self.vel_codec.resolution * self.dt * self.pos_codec.scale)[None, :]
-        self._force_codes, self.last_info = self.force_fn(self.positions)
+        self._evaluate_forces()
         self.step_count = 0
 
     # -- views -------------------------------------------------------------
@@ -180,7 +226,14 @@ class FixedPointIntegrator:
         """Raw integer state, for bitwise trajectory comparison."""
         return self.X.copy(), self.V.copy()
 
+    def decode_header(self) -> dict:
+        """The trajectory ``decode`` header for the stored state codes."""
+        return codes_decode(self.config, self.system.box)
+
     # -- dynamics -------------------------------------------------------------
+
+    def _evaluate_forces(self) -> None:
+        self._force_codes, self.last_info = self.force_fn(self.positions)
 
     def _half_kick(self) -> None:
         dv = round_nearest_even(self._force_codes.astype(np.float64) * self._kick).astype(np.int64)
@@ -224,7 +277,7 @@ class FixedPointIntegrator:
                 with t.time("drift"):
                     self._drift_full()
                 with t.time("force"):
-                    self._force_codes, self.last_info = self.force_fn(self.positions)
+                    self._evaluate_forces()
                 with t.time("kick"):
                     self._half_kick()
                 if self.thermostat is not None:
@@ -244,19 +297,15 @@ class FixedPointIntegrator:
         """Time reversal: flip all momenta (exact in fixed point)."""
         self.V = -self.V
 
-    def kinetic_energy(self) -> float:
-        return self.system.kinetic_energy(self.velocities)
 
-    def temperature(self) -> float:
-        return self.system.temperature(self.velocities)
-
-
-class VelocityVerlet:
+class VelocityVerlet(_Integrator):
     """Float64 velocity Verlet — the conventional-code reference path.
 
     Same structure as the fixed-point integrator but with a plain
     float force function ``force_fn(positions) -> (forces, info)``.
     """
+
+    state_keys = ("positions", "velocities")
 
     def __init__(
         self,
@@ -277,8 +326,15 @@ class VelocityVerlet:
         m = system.massive
         inv_m[m] = 1.0 / system.masses[m]
         self._acc = (ACCEL_UNIT * inv_m)[:, None]
-        self._forces, self.last_info = force_fn(self.positions)
+        self._evaluate_forces()
         self.step_count = 0
+
+    def decode_header(self) -> dict:
+        """The trajectory ``decode`` header for stored float64 state."""
+        return {"storage": "float", "box": [float(x) for x in self.system.box.lengths]}
+
+    def _evaluate_forces(self) -> None:
+        self._forces, self.last_info = self.force_fn(self.positions)
 
     def _half_kick(self) -> None:
         self.velocities += self._forces * self._acc * (self.dt / 2.0)
@@ -297,16 +353,10 @@ class VelocityVerlet:
                 self.velocities += (self.positions - unshaken) / self.dt
             self.system.place_virtual_sites(self.positions)
             self.positions = self.system.box.wrap(self.positions)
-            self._forces, self.last_info = self.force_fn(self.positions)
+            self._evaluate_forces()
             self._half_kick()
             if self.thermostat is not None:
                 lam = self.thermostat(self)
                 if lam != 1.0:
                     self.velocities *= lam
             self.step_count += 1
-
-    def kinetic_energy(self) -> float:
-        return self.system.kinetic_energy(self.velocities)
-
-    def temperature(self) -> float:
-        return self.system.temperature(self.velocities)

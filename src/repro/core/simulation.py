@@ -8,32 +8,16 @@ Also provides steepest-descent minimization for system preparation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
-from repro.core.integrator import FixedPointConfig, FixedPointIntegrator, VelocityVerlet
+from repro.core.integrator import FixedPointConfig, VelocityVerlet
+from repro.core.run import EnergyRecord, Engine, run_steps
 from repro.core.system import ChemicalSystem
-from repro.io import TrajectoryWriter, check_fingerprint, codes_decode, system_fingerprint
+from repro.io import TrajectoryWriter
 
 __all__ = ["EnergyRecord", "Simulation", "minimize_energy"]
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """One row of the energy log."""
-
-    step: int
-    time_fs: float
-    kinetic: float
-    potential: float
-    temperature: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.potential
 
 
 def minimize_energy(
@@ -83,7 +67,7 @@ def minimize_energy(
     return energy
 
 
-class Simulation:
+class Simulation(Engine):
     """One runnable MD simulation.
 
     Parameters
@@ -118,16 +102,7 @@ class Simulation:
             solver = ConstraintSolver(system.topology, system.masses, system.box)
         self.constraint_solver = solver
         if mode == "fixed":
-            self.provider = MTSForceProvider(self.calc, force_codec=fixed_config.force_codec())
-            self.integrator = FixedPointIntegrator(
-                system,
-                self.provider,
-                dt,
-                config=fixed_config,
-                constraints=solver,
-                thermostat=thermostat,
-                timers=self.calc.timers,
-            )
+            self._wire_fixed_point(solver, thermostat)
         elif mode == "float":
             self.provider = MTSForceProvider(self.calc)
             self.integrator = VelocityVerlet(
@@ -139,158 +114,12 @@ class Simulation:
         self.snapshots: list[np.ndarray] = []
         self.snapshot_steps: list[int] = []
 
-    # -- state views ------------------------------------------------------
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.integrator.positions
-
-    @property
-    def timers(self):
-        """Per-component wall-time counters of the force calculator."""
-        return self.calc.timers
-
-    @property
-    def velocities(self) -> np.ndarray:
-        return self.integrator.velocities
-
     def record_energy(self) -> EnergyRecord:
-        ke = self.integrator.kinetic_energy()
-        pe = float(sum(self.integrator.last_info.energies.values()))
-        rec = EnergyRecord(
-            step=self.integrator.step_count,
-            time_fs=self.integrator.step_count * self.dt,
-            kinetic=ke,
-            potential=pe,
-            temperature=self.integrator.temperature(),
-        )
+        integ = self.integrator
+        pe = float(sum(integ.last_info.energies.values()))
+        rec = self._energy_record(integ.kinetic_energy(), pe, integ.temperature())
         self.energy_log.append(rec)
         return rec
-
-    # -- checkpointing ------------------------------------------------------
-
-    def fingerprint(self) -> dict:
-        """Run identity embedded in checkpoints/trajectories.
-
-        Validated on :meth:`restore`: atom count, hashed static system
-        arrays, force-parameter hash (minus the bitwise-irrelevant
-        neighbor-list skin), mode, dt, and — on the fixed path — the
-        integrator datapath widths.
-        """
-        return system_fingerprint(
-            self.system,
-            self.params,
-            self.mode,
-            self.dt,
-            self.fixed_config if self.mode == "fixed" else None,
-        )
-
-    def checkpoint(self) -> dict:
-        """Snapshot the exact dynamic state.
-
-        For the fixed-point path the snapshot holds the raw integer
-        state, so a restored simulation continues *bit-for-bit* — the
-        property that let the paper's multi-month BPTI run survive
-        interruptions without perturbing the trajectory.
-        """
-        chk = {
-            "mode": self.mode,
-            "dt": self.dt,
-            "step_count": self.integrator.step_count,
-            "provider_calls": self.provider.calls,
-            "fingerprint": self.fingerprint(),
-        }
-        if self.mode == "fixed":
-            chk["X"], chk["V"] = self.integrator.state_codes()
-        else:
-            chk["positions"] = self.integrator.positions.copy()
-            chk["velocities"] = self.integrator.velocities.copy()
-        return chk
-
-    def restore(self, chk: dict) -> None:
-        """Resume from a checkpoint taken on a compatible simulation.
-
-        The force cache is rebuilt by replaying the evaluation the
-        original run performed at this state (same MTS phase), so the
-        next step is identical to what the original would have taken.
-        The buffered neighbor list needs no state in the checkpoint:
-        its displacement trigger rebuilds it automatically if the
-        restored positions have drifted past ``skin/2`` from the list's
-        reference configuration, and the pair set it yields is a pure
-        function of the current positions either way.
-        """
-        if chk["mode"] != self.mode or chk["dt"] != self.dt:
-            raise ValueError("checkpoint is for a different mode or time step")
-        stored = chk.get("fingerprint")
-        if stored is not None:
-            check_fingerprint(stored, self.fingerprint(), what="checkpoint")
-        elif chk.get("X", chk.get("positions")) is not None and (
-            len(chk.get("X", chk.get("positions"))) != self.system.n_atoms
-        ):
-            raise ValueError(
-                f"checkpoint holds {len(chk.get('X', chk.get('positions')))} atoms, "
-                f"this simulation has {self.system.n_atoms}"
-            )
-        integ = self.integrator
-        if self.mode == "fixed":
-            integ.X = chk["X"].copy()
-            integ.V = chk["V"].copy()
-        else:
-            integ.positions = chk["positions"].copy()
-            integ.velocities = chk["velocities"].copy()
-        integ.step_count = chk["step_count"]
-        # Replay the force evaluation that produced the cached forces
-        # (the constructor already consumed one provider call).
-        self.provider.calls = chk["provider_calls"] - 1
-        if self.mode == "fixed":
-            integ._force_codes, integ.last_info = self.provider(integ.positions)
-        else:
-            integ._forces, integ.last_info = self.provider(integ.positions)
-
-    # -- trajectory output ---------------------------------------------------
-
-    def open_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
-        """A :class:`TrajectoryWriter` configured for this run.
-
-        The header carries the fingerprint plus the decode parameters
-        (datapath widths, box) a reader needs to reconstruct physical
-        positions/velocities bit-exactly without the system objects.
-        """
-        if self.mode == "fixed":
-            decode = codes_decode(self.fixed_config, self.system.box)
-        else:
-            decode = {
-                "storage": "float",
-                "box": [float(x) for x in self.system.box.lengths],
-            }
-        return TrajectoryWriter(path, fingerprint=self.fingerprint(),
-                                decode=decode, meta=meta)
-
-    def append_trajectory(self, path) -> TrajectoryWriter:
-        """Reopen ``path`` for resumed writing.
-
-        Frames past the current step (written by an interrupted run
-        after its last durable checkpoint) and any torn tail are
-        truncated, so the finished file is identical to one from an
-        uninterrupted run.
-        """
-        return TrajectoryWriter.append(
-            path, fingerprint=self.fingerprint(),
-            resume_step=self.integrator.step_count,
-        )
-
-    def write_frame(self, writer: TrajectoryWriter) -> None:
-        """Append the current exact state as one frame."""
-        if self.mode == "fixed":
-            X, V = self.integrator.state_codes()
-            arrays = {"X": X, "V": V}
-        else:
-            arrays = {
-                "positions": self.integrator.positions.copy(),
-                "velocities": self.integrator.velocities.copy(),
-            }
-        step = self.integrator.step_count
-        writer.write_frame(step, step * self.dt, arrays)
 
     def run(
         self,
@@ -312,24 +141,18 @@ class Simulation:
         ``energy_writer`` streams each energy record as it is taken
         (an :class:`~repro.io.EnergyLogWriter`).  ``trajectory`` /
         ``checkpoint_store`` persist frames and rolling snapshots every
-        ``trajectory_every`` / ``checkpoint_every`` steps; their cadence
-        is keyed to the *global* step count, so a resumed run writes at
-        exactly the steps the uninterrupted run would have.
+        ``trajectory_every`` / ``checkpoint_every`` steps.  Every
+        cadence is keyed to the *global* step count
+        (:func:`~repro.core.run.run_steps`), so a resumed run records
+        and writes at exactly the steps the uninterrupted run would
+        have.
         """
         start = len(self.energy_log)
-        for i in range(n_steps):
-            self.integrator.step()
-            done = i + 1
-            step = self.integrator.step_count
-            if record_every and done % record_every == 0:
-                rec = self.record_energy()
-                if energy_writer is not None:
-                    energy_writer.write(rec)
-            if snapshot_every and done % snapshot_every == 0:
-                self.snapshots.append(self.positions.copy())
-                self.snapshot_steps.append(step)
-            if trajectory is not None and trajectory_every and step % trajectory_every == 0:
-                self.write_frame(trajectory)
-            if checkpoint_store is not None and checkpoint_every and step % checkpoint_every == 0:
-                checkpoint_store.save(self.checkpoint(), step)
+        run_steps(
+            self, n_steps,
+            record_every=record_every, energy_writers=[energy_writer],
+            snapshot_every=snapshot_every,
+            trajectories=[trajectory], trajectory_every=trajectory_every,
+            checkpoint_stores=[checkpoint_store], checkpoint_every=checkpoint_every,
+        )
         return self.energy_log[start:]

@@ -41,13 +41,9 @@ import math
 import numpy as np
 
 from repro.core.constraints import ConstraintSolver
-from repro.core.forces import (
-    ForceCalculator,
-    ForceReport,
-    MDParams,
-    MTSForceProvider,
-)
-from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
+from repro.core.forces import ForceCalculator, ForceReport, MDParams
+from repro.core.integrator import FixedPointConfig
+from repro.core.run import Engine, run_steps
 from repro.core.simulation import EnergyRecord, Simulation
 from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
@@ -56,7 +52,7 @@ from repro.ewald.correction import _segment_sums, correction_forces_static
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
-from repro.io import TrajectoryWriter, codes_decode, system_fingerprint
+from repro.io import TrajectoryWriter, system_fingerprint
 from repro.kernels import get_suite
 
 __all__ = [
@@ -431,7 +427,7 @@ class EnsembleBerendsenThermostat:
 # -- driver ----------------------------------------------------------------
 
 
-class EnsembleSimulation:
+class EnsembleSimulation(Engine):
     """Drive R bit-exact replicas through one batched integrator.
 
     Parameters mirror :class:`~repro.core.simulation.Simulation` where
@@ -450,7 +446,9 @@ class EnsembleSimulation:
     Per-replica artifacts (energy records, trajectory frames,
     checkpoints) use the *solo* fingerprint and the solo formats, so
     they are byte-identical to a solo run's files and restore into a
-    stock solo ``Simulation`` (:meth:`detach`).
+    stock solo ``Simulation`` (:meth:`detach`).  The inherited
+    whole-stack :meth:`checkpoint` restores only into an ensemble of
+    the same size (the atom count is checked on restore).
     """
 
     def __init__(
@@ -518,18 +516,7 @@ class EnsembleSimulation:
             ens_thermo = EnsembleBerendsenThermostat(
                 thermostat, self.replicas, n, system
             )
-        self.provider = MTSForceProvider(
-            self.calc, force_codec=fixed_config.force_codec()
-        )
-        self.integrator = FixedPointIntegrator(
-            self.system,
-            self.provider,
-            dt,
-            config=fixed_config,
-            constraints=solver,
-            thermostat=ens_thermo,
-            timers=self.calc.timers,
-        )
+        self._wire_fixed_point(solver, ens_thermo)
         # One fingerprint serves every replica: it hashes only the
         # static solo system, parameters, and datapath widths — never
         # positions/velocities — so it is verbatim what a solo run of
@@ -542,10 +529,6 @@ class EnsembleSimulation:
         ]
 
     # -- views ---------------------------------------------------------------
-
-    @property
-    def timers(self):
-        return self.calc.timers
 
     def replica_slice(self, r: int) -> slice:
         if not 0 <= r < self.replicas:
@@ -570,12 +553,8 @@ class EnsembleSimulation:
             # Left-to-right float additions over the solo key order —
             # the same chain ``float(sum(energies.values()))`` runs solo.
             pe = float(sum(float(np.asarray(val)[r]) for val in energies.values()))
-            rec = EnergyRecord(
-                step=integ.step_count,
-                time_fs=integ.step_count * self.dt,
-                kinetic=self.solo_system.kinetic_energy(vr),
-                potential=pe,
-                temperature=self.solo_system.temperature(vr),
+            rec = self._energy_record(
+                self.solo_system.kinetic_energy(vr), pe, self.solo_system.temperature(vr)
             )
             self.energy_logs[r].append(rec)
             recs.append(rec)
@@ -583,7 +562,7 @@ class EnsembleSimulation:
 
     # -- artifacts -----------------------------------------------------------
 
-    def replica_fingerprint(self) -> dict:
+    def fingerprint(self) -> dict:
         """The solo fingerprint every replica's artifacts embed."""
         return self._solo_fingerprint
 
@@ -594,28 +573,17 @@ class EnsembleSimulation:
         solo run's :meth:`Simulation.checkpoint` yields at this step,
         and restorable by it (:meth:`detach`).
         """
-        sl = self.replica_slice(r)
-        return {
-            "mode": self.mode,
-            "dt": self.dt,
-            "step_count": self.integrator.step_count,
-            "provider_calls": self.provider.calls,
-            "fingerprint": self._solo_fingerprint,
-            "X": self.integrator.X[sl].copy(),
-            "V": self.integrator.V[sl].copy(),
-        }
+        return self._checkpoint(self.replica_slice(r))
 
-    def open_replica_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
-        """A solo-format trajectory writer for one replica's frames."""
-        return TrajectoryWriter(
-            path, fingerprint=self._solo_fingerprint,
-            decode=codes_decode(self.fixed_config, self.solo_system.box), meta=meta,
-        )
+    #: A solo-format trajectory writer for one replica's frames.
+    open_replica_trajectory = Engine.open_trajectory
 
     def write_replica_frame(self, writer: TrajectoryWriter, r: int) -> None:
-        X, V = self.state_codes(r)
-        step = self.integrator.step_count
-        writer.write_frame(step, step * self.dt, {"X": X, "V": V})
+        self._write_frame(writer, self.replica_slice(r))
+
+    _replica_records = record_energy
+    _replica_frame = write_replica_frame
+    _replica_checkpoint = replica_checkpoint
 
     def detach(self, r: int) -> Simulation:
         """Extract replica r as a live solo :class:`Simulation`.
@@ -650,31 +618,19 @@ class EnsembleSimulation:
     ) -> list[list[EnergyRecord]]:
         """Advance all replicas ``n_steps``; per-replica record lists.
 
-        Cadences mirror :meth:`Simulation.run` exactly (global step
-        count keys the trajectory/checkpoint cadence).  The per-replica
-        sequences ``energy_writers`` / ``trajectories`` /
-        ``checkpoint_stores`` may be ``None`` or contain ``None``
+        Cadences mirror :meth:`Simulation.run` exactly: every one is
+        keyed to the global step count (:func:`~repro.core.run.run_steps`).
+        The per-replica sequences ``energy_writers`` / ``trajectories``
+        / ``checkpoint_stores`` may be ``None`` or contain ``None``
         entries to skip individual replicas.
         """
         start = [len(log) for log in self.energy_logs]
-        for i in range(n_steps):
-            self.integrator.step()
-            done = i + 1
-            step = self.integrator.step_count
-            if record_every and done % record_every == 0:
-                recs = self.record_energy()
-                if energy_writers is not None:
-                    for writer, rec in zip(energy_writers, recs):
-                        if writer is not None:
-                            writer.write(rec)
-            if trajectories is not None and trajectory_every and step % trajectory_every == 0:
-                for r, writer in enumerate(trajectories):
-                    if writer is not None:
-                        self.write_replica_frame(writer, r)
-            if checkpoint_stores is not None and checkpoint_every and step % checkpoint_every == 0:
-                for r, store in enumerate(checkpoint_stores):
-                    if store is not None:
-                        store.save(self.replica_checkpoint(r), step)
+        run_steps(
+            self, n_steps,
+            record_every=record_every, energy_writers=energy_writers or (),
+            trajectories=trajectories or (), trajectory_every=trajectory_every,
+            checkpoint_stores=checkpoint_stores or (), checkpoint_every=checkpoint_every,
+        )
         return [log[s:] for log, s in zip(self.energy_logs, start)]
 
     def profile(self) -> dict:

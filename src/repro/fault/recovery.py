@@ -102,10 +102,13 @@ class MemorySnapshotStore:
 class FaultController:
     """Drives injection, detection, and recovery around a machine run.
 
-    Owned by :class:`~repro.machine.machine.AntonMachine` when it is
-    constructed with ``faults=``; the machine's :meth:`run` loop calls
-    :meth:`begin_step` / :meth:`after_step` around every time step and
-    :meth:`rollback` when a step must be undone.  All counters are also
+    An :class:`~repro.machine.machine.AntonMachine` constructed with
+    ``faults=`` holds one as its ``fault_controller``; the shared run
+    loop (:func:`repro.core.run.run_steps`) executes every step of an
+    engine that holds one through :meth:`run_step` (which brackets the
+    step with :meth:`begin_step` / :meth:`after_step` and calls
+    :meth:`rollback` when it must be undone) and feeds
+    :meth:`maybe_snapshot` after its outputs.  All counters are also
     mirrored into the machine's :class:`~repro.perf.Timers` counts
     (``fault_*``), so ``--timings`` and :meth:`profile` surface them.
     """
@@ -181,6 +184,25 @@ class FaultController:
         """True when ``step``'s store/trajectory writes already happened
         before a rollback (replay must not emit them twice)."""
         return step <= self._io_done_until
+
+    def run_step(self, machine, step: int, store: CheckpointStore | None) -> bool:
+        """Execute ``step`` under supervision; True when its outputs are due.
+
+        Arms the wire ledger, advances the machine one step, then audits
+        the barrier (``machine_fault_barrier``).  A step that must be
+        undone rolls back to the newest snapshot (``machine_rollback``)
+        and returns False, as does a replayed step whose outputs were
+        already written before the rollback.
+        """
+        timers = machine.calc.timers
+        self.begin_step(machine, step)
+        machine.step()
+        with timers.time("machine_fault_barrier"):
+            if self.after_step(machine, step):
+                with timers.time("machine_rollback"):
+                    self.rollback(machine, store)
+                return False
+        return not self.io_done(step)
 
     def begin_step(self, machine, step: int) -> None:
         """Arm the wire ledger (original passes only — replayed steps

@@ -32,12 +32,13 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.constraints import ConstraintSolver
-from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
-from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
+from repro.core.forces import ForceCalculator, MDParams
+from repro.core.integrator import FixedPointConfig
+from repro.core.run import Engine, run_steps
 from repro.core.system import ChemicalSystem
 from repro.fault import FaultController, FaultSchedule, FaultyNetwork, RecoveryPolicy
 from repro.fft import DistributedFFT3D
-from repro.io import TrajectoryWriter, check_fingerprint, codes_decode, system_fingerprint
+from repro.io import TrajectoryWriter
 from repro.machine.backends import MachineBackend, make_backend
 from repro.machine.config import ANTON_2008, AntonHardware
 from repro.machine.flexible import assign_bond_terms, correction_pairs_per_node
@@ -115,7 +116,7 @@ class MachineForceCalculator(ForceCalculator):
             return self.backend.mesh_long_range(self, positions, acc, force_codec)
 
 
-class AntonMachine:
+class AntonMachine(Engine):
     """A simulated n-node Anton machine running one chemical system.
 
     Parameters
@@ -165,6 +166,13 @@ class AntonMachine:
         delta compression.  Accounting only — trajectories, checkpoints,
         and the flat traffic counters are bitwise unchanged.
     """
+
+    #: Fingerprint mode: node count, backend and migration cadence are
+    #: deliberately absent from the fingerprint — by parallel invariance
+    #: they influence only traffic, never the trajectory bits, so
+    #: snapshots restore across any machine configuration.
+    mode = "machine"
+    io_timer = "machine_io"
 
     def __init__(
         self,
@@ -219,22 +227,13 @@ class AntonMachine:
             self.dfft = DistributedFFT3D(params.mesh, self.topology, self.network)
         self.backend = make_backend(backend, kernel_tier, kernel_threads)
         self.calc = MachineForceCalculator(system, params, self, self.backend)
-        self.provider = MTSForceProvider(self.calc, force_codec=fixed_config.force_codec())
         solver = None
         if constraints and system.topology.n_constraints:
             solver = ConstraintSolver(
                 system.topology, system.masses, system.box,
                 kernels=self.backend.kernels,
             )
-        self.integrator = FixedPointIntegrator(
-            system,
-            self.provider,
-            dt,
-            config=fixed_config,
-            constraints=solver,
-            thermostat=thermostat,
-            timers=self.calc.timers,
-        )
+        self._wire_fixed_point(solver, thermostat)
         self.fault_controller = None
         if faults is not None:
             self.fault_controller = FaultController(
@@ -349,9 +348,10 @@ class AntonMachine:
 
         Frames and rolling snapshots are emitted every
         ``trajectory_every`` / ``checkpoint_every`` steps of the
-        *global* step count, so a resumed run writes at exactly the
-        steps the uninterrupted run would have.  I/O time is charged
-        to the ``machine_io`` timer (it is not part of a machine step).
+        *global* step count (:func:`~repro.core.run.run_steps`), so a
+        resumed run writes at exactly the steps the uninterrupted run
+        would have.  I/O time is charged to the ``machine_io`` timer
+        (it is not part of a machine step).
 
         With fault injection armed (``faults=`` at construction), every
         step is bracketed by the :class:`~repro.fault.FaultController`:
@@ -364,105 +364,44 @@ class AntonMachine:
         already happened, so both the primary traffic statistics and
         the on-disk artifacts of a healed run are exactly a clean run's.
         """
-        t = self.calc.timers
-        fc = self.fault_controller
-        if fc is not None:
-            fc.start_run(self, n_steps)
-        target = self.integrator.step_count + n_steps
-        while self.integrator.step_count < target:
-            step = self.integrator.step_count + 1
-            if fc is not None:
-                fc.begin_step(self, step)
-            self.step()
-            if fc is not None:
-                with t.time("machine_fault_barrier"):
-                    if fc.after_step(self, step):
-                        with t.time("machine_rollback"):
-                            fc.rollback(self, checkpoint_store)
-                        continue
-                if fc.io_done(step):
-                    continue
-            if trajectory is not None and trajectory_every and step % trajectory_every == 0:
-                with t.time("machine_io"):
-                    self.write_frame(trajectory)
-            if checkpoint_store is not None and checkpoint_every and step % checkpoint_every == 0:
-                with t.time("machine_io"):
-                    checkpoint_store.save(self.checkpoint(), step)
-            if fc is not None:
-                fc.maybe_snapshot(self, step, has_store=checkpoint_store is not None)
-
-    # -- trajectory output ---------------------------------------------------
-
-    def open_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
-        """A :class:`TrajectoryWriter` configured for this machine."""
-        return TrajectoryWriter(
-            path, fingerprint=self.fingerprint(),
-            decode=codes_decode(self.fixed_config, self.system.box), meta=meta,
+        run_steps(
+            self, n_steps,
+            trajectories=[trajectory], trajectory_every=trajectory_every,
+            checkpoint_stores=[checkpoint_store], checkpoint_every=checkpoint_every,
         )
 
-    def append_trajectory(self, path) -> TrajectoryWriter:
-        """Reopen ``path`` for resumed writing (truncates past-resume frames)."""
-        return TrajectoryWriter.append(
-            path, fingerprint=self.fingerprint(),
-            resume_step=self.integrator.step_count,
-        )
-
-    def write_frame(self, writer: TrajectoryWriter) -> None:
-        """Append the current exact machine state as one frame."""
-        X, V = self.integrator.state_codes()
-        step = self.integrator.step_count
-        writer.write_frame(step, step * self.dt, {"X": X, "V": V})
+    # Defined in this class's own dict (with checkpoint below): the
+    # benchmark tracer patches both here.
+    write_frame = Engine.write_frame
 
     # -- checkpointing -------------------------------------------------------
-
-    def fingerprint(self) -> dict:
-        """Run identity embedded in checkpoints/trajectories.
-
-        Node count, backend, and migration cadence are deliberately
-        absent: by parallel invariance they influence only traffic,
-        never the trajectory bits, so snapshots restore across any
-        machine configuration.
-        """
-        return system_fingerprint(
-            self.system, self.params, "machine", self.dt, self.fixed_config
-        )
 
     def checkpoint(self) -> dict:
         """Snapshot of the exact machine state (integer codes).
 
-        Everything that influences future bits or traffic: integrator
-        state codes and step count, the MTS call counter, atom
-        ownership, and the migration clock.
+        The solo checkpoint schema (integrator state codes, step count,
+        MTS call counter) plus what influences future traffic: atom
+        ownership and the migration clock.
         """
-        X, V = self.integrator.state_codes()
-        return {
-            "X": X,
-            "V": V,
-            "step_count": self.integrator.step_count,
-            "provider_calls": self.provider.calls,
-            "owners": self.owners.copy(),
-            "steps_since_migration": self.migration.steps_since_migration,
-            "migration_step": self.migration._step,
-            "n_nodes": self.topology.n_nodes,
-            "fingerprint": self.fingerprint(),
-        }
+        chk = self._checkpoint()
+        chk.update(
+            owners=self.owners.copy(),
+            steps_since_migration=self.migration.steps_since_migration,
+            migration_step=self.migration._step,
+            n_nodes=self.topology.n_nodes,
+        )
+        return chk
 
     def restore(self, chk: dict) -> None:
         """Resume bit-exactly from a :meth:`checkpoint` snapshot.
 
         Works across machines and backends: state codes are integer,
-        ownership-derived placement affects only traffic, and replaying
-        the force evaluation with the rewound MTS counter reproduces
-        the same long-range schedule decision — so the continued
-        trajectory is bitwise the uninterrupted one.
+        ownership-derived placement affects only traffic, and the
+        integrator's replay of the force evaluation with the rewound
+        MTS counter reproduces the same long-range schedule decision —
+        so the continued trajectory is bitwise the uninterrupted one.
         """
-        stored = chk.get("fingerprint")
-        if stored is not None:
-            check_fingerprint(stored, self.fingerprint(), what="checkpoint")
-        integ = self.integrator
-        integ.X = chk["X"].copy()
-        integ.V = chk["V"].copy()
-        integ.step_count = int(chk["step_count"])
+        self._check_checkpoint(chk)
         if int(chk.get("n_nodes", self.topology.n_nodes)) == self.topology.n_nodes:
             self.owners = chk["owners"].copy()
         else:
@@ -470,19 +409,14 @@ class AntonMachine:
             # ownership map indexes another torus.  Reassign from the
             # restored positions — placement affects only traffic,
             # never the trajectory bits.
-            self.owners = self.migration.initialize(integ.positions)
+            self.owners = self.migration.initialize(self.integrator.pos_codec.decode(chk["X"]))
         self.migration.owners = self.owners
         self.migration.steps_since_migration = int(chk["steps_since_migration"])
         self.migration._step = int(chk["migration_step"])
         self.reassign_bond_terms()
-        self.provider.calls = int(chk["provider_calls"]) - 1
-        integ._force_codes, integ.last_info = self.provider(integ.positions)
+        self.integrator.restore(chk)
 
     # -- observability -------------------------------------------------------
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.integrator.positions
 
     def state_codes(self):
         return self.integrator.state_codes()

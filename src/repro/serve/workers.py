@@ -18,7 +18,8 @@ kernel tier); a job with prior progress resumes solo through
 checkpoint, appending to its trajectory and energy log with the torn /
 past-checkpoint output truncated.  Work proceeds in **slices of
 exactly the checkpoint cadence**: every slice boundary coincides with
-a durable checkpoint save, so
+a durable checkpoint save (the shared run loop's, frames flushed
+first), so
 
 * preemption (requested between slices) needs no special checkpoint —
   the state is already on disk, and the requeued job resumes from it
@@ -101,25 +102,27 @@ def resolve_worker_kernels(tier, threads):
     return cfg, suite.tier, getattr(suite, "threads", 1), notes
 
 
-def _open_fresh_artifacts(ens, jobs):
-    """Per-job (trajectory, store, energy writer) for a fresh batch."""
+def _job_sinks(engine, jobs, resume=False):
+    """Per-job (trajectory writers, checkpoint stores, energy writers)."""
     from pathlib import Path
 
+    from repro.core.run import open_sinks
     from repro.io import (
         CheckpointStore,
-        EnergyLogWriter,
         job_checkpoint_dir,
         job_energy_log_path,
         job_trajectory_path,
     )
 
-    trajectories, stores, writers = [], [], []
-    for job in jobs:
-        d = Path(job.artifact_dir)
+    dirs = [Path(job.artifact_dir) for job in jobs]
+    for d in dirs:
         d.mkdir(parents=True, exist_ok=True)
-        trajectories.append(ens.open_replica_trajectory(job_trajectory_path(d)))
-        stores.append(CheckpointStore(job_checkpoint_dir(d), retain=job.spec.retain))
-        writers.append(EnergyLogWriter(job_energy_log_path(d)))
+    trajectories, writers = open_sinks(
+        engine, [job_trajectory_path(d) for d in dirs],
+        [job_energy_log_path(d) for d in dirs], resume=resume,
+    )
+    stores = [CheckpointStore(job_checkpoint_dir(d), retain=job.spec.retain)
+              for d, job in zip(dirs, jobs)]
     return trajectories, stores, writers
 
 
@@ -138,52 +141,8 @@ def _run_fresh_batch(jobs, control, progress, kernel_cfg):
         constraints=True,
         kernel_tier=kernel_cfg.tier, kernel_threads=kernel_cfg.threads,
     )
-    trajectories, stores, writers = _open_fresh_artifacts(ens, jobs)
-
-    def save_checkpoints() -> None:
-        # Durability order: trajectories are flushed BEFORE the slice's
-        # checkpoint lands, so a durable checkpoint is always covered
-        # by durable frames — a SIGKILL can never leave a checkpoint
-        # newer than the trajectory prefix (frames a resume could not
-        # regenerate).  Energy lines flush per record already.
-        for t in trajectories:
-            t.flush()
-        for r, store in enumerate(stores):
-            store.save(ens.replica_checkpoint(r), ens.integrator.step_count)
-
-    done = {j.id: 0 for j in jobs}
-    try:
-        step = 0
-        while step < spec.steps:
-            n = min(spec.slice_steps, spec.steps - step)
-            # In-run checkpointing stays off: the slice boundary saves
-            # below hit exactly the same steps (slice == cadence), in
-            # the flush-then-save order the durability argument needs.
-            ens.run(
-                n, record_every=spec.record_every,
-                energy_writers=writers,
-                trajectories=trajectories,
-                trajectory_every=spec.effective_trajectory_every,
-            )
-            step += n
-            if spec.checkpoint_every and step % spec.checkpoint_every == 0:
-                save_checkpoints()
-            for j in jobs:
-                done[j.id] = step
-            if progress is not None:
-                progress(dict(done))
-            if step < spec.steps and control is not None and control() == "preempt":
-                return SliceOutcome("preempted", done)
-        # Final checkpoint at the last step, exactly like the solo CLI
-        # (the cadence save above already wrote it when steps is a
-        # multiple; saving the same step again produces the same file).
-        save_checkpoints()
-        return SliceOutcome("done", done)
-    finally:
-        for t in trajectories:
-            t.close()
-        for w in writers:
-            w.close()
+    sinks = _job_sinks(ens, jobs)
+    return _run_slices(ens, jobs, *sinks, control, progress)
 
 
 def _run_resumed_solo(job, control, progress, kernel_cfg):
@@ -192,21 +151,11 @@ def _run_resumed_solo(job, control, progress, kernel_cfg):
 
     from repro.core.simulation import Simulation
     from repro.core.thermostat import BerendsenThermostat
-    from repro.io import (
-        CheckpointError,
-        CheckpointStore,
-        EnergyLogWriter,
-        job_checkpoint_dir,
-        job_energy_log_path,
-        job_trajectory_path,
-        truncate_energy_log,
-    )
+    from repro.io import CheckpointError, CheckpointStore, CorruptRecord, job_checkpoint_dir
 
     spec = job.spec
-    d = Path(job.artifact_dir)
-    store = CheckpointStore(job_checkpoint_dir(d), retain=spec.retain)
     try:
-        loaded = store.load_latest()
+        loaded = CheckpointStore(job_checkpoint_dir(Path(job.artifact_dir))).load_latest()
     except CheckpointError:
         # Nothing durable survived (killed before the first snapshot,
         # or every snapshot torn): start over from scratch — the
@@ -220,56 +169,51 @@ def _run_resumed_solo(job, control, progress, kernel_cfg):
         thermostat=BerendsenThermostat(spec.temperature), constraints=True,
     )
     sim.restore(loaded.state)
-    resume_step = sim.integrator.step_count
-
-    from repro.io.records import CorruptRecord
-
-    traj_path = job_trajectory_path(d)
     try:
-        if traj_path.exists():
-            trajectory = sim.append_trajectory(traj_path)
-        else:  # pragma: no cover - checkpoint without trajectory
-            trajectory = sim.open_trajectory(traj_path)
+        sinks = _job_sinks(sim, [job], resume=True)
     except CorruptRecord:  # pragma: no cover - externally damaged file
-        # Unreadable even at the header: nothing to append to.  The
-        # flush-before-checkpoint order makes this unreachable from a
-        # worker SIGKILL, so it means external damage — regenerate the
-        # whole artifact set from step 0 (bit-exact, just slower).
+        # Trajectory unreadable even at the header: nothing to append
+        # to.  The run loop's flush-before-checkpoint order makes this
+        # unreachable from a worker SIGKILL, so it means external
+        # damage — regenerate the whole artifact set from step 0
+        # (bit-exact, just slower).
         job.steps_done = 0
         return _run_fresh_batch([job], control, progress, kernel_cfg)
-    truncate_energy_log(job_energy_log_path(d), resume_step)
-    writer = EnergyLogWriter(job_energy_log_path(d), append=True)
+    return _run_slices(sim, [job], *sinks, control, progress)
 
-    def save_checkpoint() -> None:
-        # Same durability order as the fresh path: flush frames, then
-        # land the checkpoint they cover.
-        trajectory.flush()
-        store.save(sim.checkpoint(), sim.integrator.step_count)
 
-    done = {job.id: resume_step}
+def _run_slices(engine, jobs, trajectories, stores, writers, control, progress):
+    """Advance ``engine`` to the jobs' step target, one slice at a time.
+
+    Every sink sequence holds one entry per job.  The run loop saves
+    the checkpoints (frames flushed first) at each slice end, since a
+    slice is exactly the checkpoint cadence; preemption is honoured
+    between slices.  The last step gets a final checkpoint, like the
+    CLI's (rewriting an on-cadence one yields the same file).
+    """
+    from repro.core.run import close_sinks, run_steps, save_checkpoints
+
+    spec = jobs[0].spec
+    step = engine.integrator.step_count
+    done = {j.id: step for j in jobs}
     try:
-        step = resume_step
         while step < spec.steps:
             n = min(spec.slice_steps, spec.steps - step)
-            sim.run(
-                n, record_every=spec.record_every,
-                energy_writer=writer,
-                trajectory=trajectory,
-                trajectory_every=spec.effective_trajectory_every,
+            run_steps(
+                engine, n, record_every=spec.record_every, energy_writers=writers,
+                trajectories=trajectories, trajectory_every=spec.effective_trajectory_every,
+                checkpoint_stores=stores, checkpoint_every=spec.checkpoint_every,
             )
             step += n
-            if spec.checkpoint_every and step % spec.checkpoint_every == 0:
-                save_checkpoint()
-            done[job.id] = step
+            done = dict.fromkeys(done, step)
             if progress is not None:
-                progress(dict(done))
+                progress(done)
             if step < spec.steps and control is not None and control() == "preempt":
                 return SliceOutcome("preempted", done)
-        save_checkpoint()
+        save_checkpoints(engine, stores, trajectories)
         return SliceOutcome("done", done)
     finally:
-        trajectory.close()
-        writer.close()
+        close_sinks(trajectories, writers)
 
 
 def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None):
