@@ -568,8 +568,11 @@ def cmd_machine(args) -> int:
         print(json.dumps(machine.profile(), indent=2))
     ok = True
     if args.check_invariance:
+        # On resume the reference continues from the same snapshot.
         ref = AntonMachine(base.copy(), params, n_nodes=1, dt=1.0, backend=args.backend)
-        ref.step(args.steps)
+        if loaded is not None:
+            ref.restore(loaded.state)
+        ref.step(machine.integrator.step_count - ref.integrator.step_count)
         same = all(
             np.array_equal(a, b) for a, b in zip(machine.state_codes(), ref.state_codes())
         )

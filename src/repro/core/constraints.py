@@ -13,10 +13,16 @@ deterministic (greedy in constraint order), so results are bitwise
 reproducible and independent of how constraint groups are distributed
 over simulated nodes.
 
-With a compiled kernel suite (``kernels=`` from :mod:`repro.kernels`),
-the sweeps run in C over the same flattened batch order with the same
-operation ordering — bitwise identical, without the per-iteration
-Python/NumPy dispatch that dominates at rigid-water batch sizes.
+Every solve dispatches through the kernel suite's leading-replica-axis
+sweeps (``shake_batch``/``rattle_batch``); a solo solve is the
+one-replica batch, and the ensemble's
+:class:`~repro.ensemble.engine.EnsembleConstraintSolver` runs the same
+sweeps over R blocks of this solver's arrays.  With a compiled kernel
+suite (``kernels=`` from :mod:`repro.kernels`) the sweeps run in C over
+the same flattened batch order with the same operation ordering —
+bitwise identical, without the per-iteration Python/NumPy dispatch that
+dominates at rigid-water batch sizes.  :meth:`ConstraintSolver.suite_for`
+holds the one rule for which tier sweeps a given array.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 from repro.forcefield import Topology
 from repro.geometry import Box
+from repro.kernels import get_suite
 
 __all__ = ["ConstraintSolver"]
 
@@ -56,6 +63,9 @@ class ConstraintSolver:
         Maximum Gauss–Seidel sweeps.  Rigid water converges at ~0.4 per
         sweep even from large perturbations; MD-step displacements
         reach 1e-12 well inside the default.
+    kernels:
+        Kernel suite whose batched sweeps run every solve (default: the
+        NumPy tier); a solo solve is one replica.
     """
 
     def __init__(
@@ -80,7 +90,7 @@ class ConstraintSolver:
             if np.any(self.inv_mass[i] + self.inv_mass[j] == 0):
                 raise ValueError("constraint between two massless atoms")
         self.batches = _color_constraints(self.idx)
-        self.kernels = kernels
+        self.kernels = kernels if kernels is not None else get_suite("numpy", 1)
         self._c_arrays = None
 
     @property
@@ -91,21 +101,20 @@ class ConstraintSolver:
     def n_colors(self) -> int:
         return len(self.batches)
 
-    # -- compiled-tier support -------------------------------------------
+    # -- kernel dispatch ---------------------------------------------------
 
     def _compiled_arrays(self):
         """Flattened, C-contiguous constraint data for the C sweeps.
 
         Built once: constraint endpoints, squared target distances,
-        inverse masses, box lengths, the coloring flattened to a single
-        ``order`` array with batch prefix ``starts``, plus persistent
-        scratch for the reference/current displacement tables — so
+        inverse masses, box lengths, and the coloring flattened to a
+        single ``order`` array with batch prefix ``starts``.  The
+        displacement-table scratch lives on the kernel suite, so
         steady-state constraint solves allocate nothing.
         """
         if not self.n_constraints:
             return None
         if self._c_arrays is None:
-            ncon = self.n_constraints
             order = np.ascontiguousarray(np.concatenate(self.batches))
             starts = np.zeros(len(self.batches) + 1, dtype=np.int64)
             np.cumsum([len(b) for b in self.batches], out=starts[1:])
@@ -117,15 +126,22 @@ class ConstraintSolver:
                 np.ascontiguousarray(self.box.lengths, dtype=np.float64),
                 order,
                 starts,
-                np.empty((ncon, 3), dtype=np.float64),  # dref scratch
-                np.empty((ncon, 3), dtype=np.float64),  # dx_all scratch
-                np.empty(ncon, dtype=np.float64),  # d2_all scratch
             )
         return self._c_arrays
 
-    @staticmethod
-    def _c_ready(a: np.ndarray) -> bool:
-        return a.dtype == np.float64 and a.flags["C_CONTIGUOUS"]
+    def suite_for(self, arr: np.ndarray, kernels=None):
+        """The kernel suite that sweeps ``arr`` in place.
+
+        ``kernels`` (default: this solver's) when it is the NumPy tier
+        or ``arr`` is C-ready float64; otherwise the NumPy tier, since
+        the compiled sweep writes through a raw pointer.
+        """
+        k = self.kernels if kernels is None else kernels
+        if k.tier == "compiled" and not (
+            arr.dtype == np.float64 and arr.flags["C_CONTIGUOUS"]
+        ):
+            return get_suite("numpy", 1)
+        return k
 
     def shake(
         self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10
@@ -133,14 +149,13 @@ class ConstraintSolver:
         """Project ``positions`` onto the constraint manifold (in place).
 
         ``reference`` supplies the pre-drift constraint directions, as
-        in classic SHAKE.
+        in classic SHAKE.  A one-replica batch sweep.
         """
         if not self.n_constraints:
             return positions
-        k = self.kernels
-        if k is not None and k.tier == "compiled" and self._c_ready(positions):
-            return k.shake(self, positions, reference, tol)
-        return self._shake_numpy(positions, reference, tol)
+        return self.suite_for(positions).shake_batch(
+            self, positions, reference, float(tol), 1, len(positions)
+        )
 
     def _shake_numpy(
         self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10
@@ -173,10 +188,9 @@ class ConstraintSolver:
         """Remove velocity components along constraints (in place)."""
         if not self.n_constraints:
             return velocities
-        k = self.kernels
-        if k is not None and k.tier == "compiled" and self._c_ready(velocities):
-            return k.rattle(self, velocities, positions, tol)
-        return self._rattle_numpy(velocities, positions, tol)
+        return self.suite_for(velocities).rattle_batch(
+            self, velocities, positions, float(tol), 1, len(velocities)
+        )
 
     def _rattle_numpy(
         self, velocities: np.ndarray, positions: np.ndarray, tol: float = 1e-12

@@ -95,7 +95,10 @@ class ForceCalculator:
     """Evaluates all force-field components for one system.
 
     The solo calculator runs the NumPy kernel suite; the machine and
-    ensemble engines subclass it with their own suite and deposits.
+    ensemble engines subclass it with their own suite (``kernels``) and
+    deposits.  ``replicas`` is the number of copies of one system
+    stacked along the atom axis; the one neighbor list is built with
+    the calculator's suite and replica count.
     """
 
     #: Timer name of each force phase.  Engines rename some (the
@@ -103,19 +106,29 @@ class ForceCalculator:
     phases = {p: p for p in ("pair_list", "range_limited", "correction", "kspace",
                              "deposit", "collect")}
 
-    def __init__(self, system: ChemicalSystem, params: MDParams = MDParams()):
+    def __init__(
+        self,
+        system: ChemicalSystem,
+        params: MDParams = MDParams(),
+        kernels=None,
+        replicas: int = 1,
+    ):
         # Deferred import: repro.perf pulls in workload -> repro.core.
         from repro.perf.timers import Timers
 
         self.system = system
         self.params = params
         self.timers = Timers()
+        self.kernels = kernels if kernels is not None else get_suite("numpy", 1)
+        self.replicas = int(replicas)
         self.neighbor_list = NeighborList(
             system.box,
             params.cutoff,
             skin=params.skin,
             exclusions=system.exclusions,
             timers=self.timers,
+            kernels=self.kernels,
+            replicas=self.replicas,
         )
         self.electrostatics = bool(params.electrostatics) and bool(np.any(system.charges != 0))
         if self.electrostatics:
@@ -152,7 +165,6 @@ class ForceCalculator:
         self._corr_static = precompute_correction_static(
             system.charges, system.type_ids, system.lj, system.exclusions
         )
-        self.kernels = get_suite("numpy", 1)
         # Fixed-point scratch reused across evaluations: the pooled
         # short/long accumulators and the fused pair kernel's outputs.
         self._acc: dict[str, FixedAccumulator] = {}

@@ -29,6 +29,12 @@ engine gets this by construction rather than by tolerance:
   set is a pure function of the current configuration regardless of
   when the list was rebuilt.
 
+The pair search, the neighbor list and the SHAKE/RATTLE sweeps are
+not ensemble copies: they are the one batched implementation the solo
+engine also runs, at R = 1.  What this module adds is the tiling, the
+per-replica energy reductions, the stacked k-space and the per-replica
+thermostat.
+
 Replicas are *detachable*: :meth:`EnsembleSimulation.detach` (or any
 per-replica checkpoint) restores into a stock solo ``Simulation`` that
 continues bit-for-bit.
@@ -51,7 +57,6 @@ from repro.ewald import self_energy
 from repro.ewald.correction import _segment_sums, correction_forces_static
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
-from repro.geometry.neighborlist import EnsembleNeighborList
 from repro.io import TrajectoryWriter, system_fingerprint
 from repro.kernels import get_suite
 
@@ -159,23 +164,13 @@ class EnsembleForceCalculator(ForceCalculator):
     ):
         if system.n_atoms != replicas * n_solo:
             raise ValueError("tiled system size does not match replicas * n_solo")
-        super().__init__(system, params)
-        self.replicas = int(replicas)
-        self.n_solo = int(n_solo)
-        self.kernels = kernels if kernels is not None else get_suite()
-        # Batched rebuild: per-replica cell binning in a single
-        # filter/sort pass (cells are offset per replica so identical
-        # replica configurations never cross-pair).
-        self.neighbor_list = EnsembleNeighborList(
-            system.box,
-            params.cutoff,
-            replicas,
-            n_solo,
-            skin=params.skin,
-            exclusions=system.exclusions,
-            timers=self.timers,
-            kernels=self.kernels,
+        super().__init__(
+            system,
+            params,
+            kernels=kernels if kernels is not None else get_suite(),
+            replicas=replicas,
         )
+        self.n_solo = int(n_solo)
         # Each replica's self energy is the solo scalar (the tiled
         # system's would be the R-fold total).
         self._e_self = np.full(
@@ -338,11 +333,12 @@ class EnsembleConstraintSolver:
     """SHAKE/RATTLE over R replica blocks in one batched dispatch.
 
     Wraps ONE solo :class:`ConstraintSolver` (the constraint topology
-    is identical in every block) and dispatches through the kernel
-    suite: the compiled tier sweeps all replicas in a single C call
-    that runs the solo kernel per block — bitwise the solo solve,
-    including each block's own convergence exit (a converged replica
-    must not absorb extra sweeps, which would change bits).
+    is identical in every block) and runs the kernel suite's batched
+    sweep — the same sweep a solo solve runs at one replica — over all
+    R blocks: the compiled tier sweeps every replica in a single C call
+    that runs the one-replica kernel per block, including each block's
+    own convergence exit (a converged replica must not absorb extra
+    sweeps, which would change bits).
     """
 
     def __init__(
@@ -357,25 +353,17 @@ class EnsembleConstraintSolver:
     def n_constraints(self) -> int:
         return self.solo.n_constraints * self.replicas
 
-    def _suite(self, arr: np.ndarray):
-        k = self.kernels
-        if k.tier == "compiled" and not (
-            arr.dtype == np.float64 and arr.flags["C_CONTIGUOUS"]
-        ):
-            return get_suite("numpy")
-        return k
-
     def shake(self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10):
         if not self.solo.n_constraints:
             return positions
-        return self._suite(positions).shake_batch(
+        return self.solo.suite_for(positions, self.kernels).shake_batch(
             self.solo, positions, reference, float(tol), self.replicas, self.n_solo
         )
 
     def rattle(self, velocities: np.ndarray, positions: np.ndarray, tol: float = 1e-12):
         if not self.solo.n_constraints:
             return velocities
-        return self._suite(velocities).rattle_batch(
+        return self.solo.suite_for(velocities, self.kernels).rattle_batch(
             self.solo, velocities, positions, float(tol), self.replicas, self.n_solo
         )
 

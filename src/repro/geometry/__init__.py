@@ -6,7 +6,7 @@ from repro.geometry.cells import (
     cell_candidate_pairs,
     neighbor_pairs,
 )
-from repro.geometry.neighborlist import EnsembleNeighborList, NeighborList
+from repro.geometry.neighborlist import NeighborList
 from repro.geometry.pbc import Box
 from repro.geometry.regions import (
     dilated_box_volume,
@@ -19,7 +19,6 @@ from repro.geometry.regions import (
 __all__ = [
     "NeighborPairs",
     "NeighborList",
-    "EnsembleNeighborList",
     "brute_force_pairs",
     "cell_candidate_pairs",
     "neighbor_pairs",

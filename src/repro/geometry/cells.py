@@ -7,6 +7,11 @@ cell list, and the buffered :class:`~repro.geometry.neighborlist.NeighborList`
 — return bitwise-identical arrays for the same configuration, so even
 floating-point force sums do not depend on which search path ran.
 
+The vectorized candidate search (:func:`cell_candidate_pairs`) is
+written once for R replicas of one system stacked along the atom axis;
+a solo search is the one-replica case and pays nothing for the batch
+axis.
+
 This is the "conventional processor" pair-finding substrate; the
 simulated machine uses the NT method in :mod:`repro.parallel.nt`
 instead, and the two are cross-checked against each other in the
@@ -26,7 +31,6 @@ __all__ = [
     "neighbor_pairs",
     "brute_force_pairs",
     "cell_candidate_pairs",
-    "ensemble_cell_candidate_pairs",
 ]
 
 # Half stencil: 13 offsets such that each unordered cell pair appears once.
@@ -210,7 +214,7 @@ def _choose_binning(
 
 
 def cell_candidate_pairs(
-    positions: np.ndarray, box: Box, reach: float
+    positions: np.ndarray, box: Box, reach: float, replicas: int = 1
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Vectorized candidate pairs from cell binning at ``reach``.
 
@@ -222,6 +226,18 @@ def cell_candidate_pairs(
     path).  ``positions`` must already be wrapped into the primary
     cell.
 
+    ``positions`` may hold ``replicas`` stacked copies of one system
+    sharing the box (replica ``r`` owns rows ``[r * n, (r + 1) * n)``).
+    Atoms are then binned with *replica-major* flat cell ids ``r *
+    ncells_total + flat`` so cells of different replicas are distinct
+    and no candidate ever crosses a replica boundary — load-bearing
+    because replicas typically start from identical coordinates, where
+    shared binning would pair every atom with its R-1 twins at distance
+    zero.  The candidates restricted to replica ``r`` are that replica's
+    solo candidates offset by ``r * n``, so the downstream filter and
+    canonical sort yield exactly the solo list per replica.  A solo
+    search is the one-replica case and pays no replica offset.
+
     The whole half-stencil sweep is array arithmetic: atoms are binned
     and sorted by flat cell id once, and for every (atom, stencil
     offset) the run of atoms in the neighboring cell is expanded with a
@@ -229,24 +245,32 @@ def cell_candidate_pairs(
     ``reach / 3`` when the box allows it, shrinking the candidate
     overcount toward the cutoff-sphere volume.
     """
-    if len(positions) < 64:
+    n = len(positions)
+    if n // replicas < 64:
         return None
     binning = _choose_binning(positions, box, reach)
     if binning is None:
         return None
     ncells, stencil = binning
+    ntot = int(np.prod(ncells))
+    # Bounds the replica-major cell table; _choose_binning already
+    # bounds a solo one, and solo results must not depend on this guard.
+    if replicas > 1 and replicas * ntot > 50_000_000:
+        return None
 
     cell_size = box.lengths / ncells
     # Modulo clamps both the exact-L edge (index == ncells) and any
     # -1 bin from floating-point jitter at 0 into valid cells.
     cidx = np.floor(positions / cell_size).astype(np.int64) % ncells
     flat = (cidx[:, 0] * ncells[1] + cidx[:, 1]) * ncells[2] + cidx[:, 2]
+    rep = None
+    if replicas > 1:
+        rep = np.repeat(np.arange(replicas, dtype=np.int64) * ntot, n // replicas)
+        flat = flat + rep
 
-    n = len(positions)
     order = np.argsort(flat, kind="stable")  # atom ids in cell order
     sorted_flat = flat[order]
-    ntot = int(np.prod(ncells))
-    counts = np.bincount(sorted_flat, minlength=ntot)
+    counts = np.bincount(sorted_flat, minlength=replicas * ntot)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     # Intra-cell pairs: slot p pairs with slots p+1 .. end(cell)-1.
@@ -258,79 +282,13 @@ def cell_candidate_pairs(
     intra_i = order[ii_slot]
     intra_j = order[jj_slot]
 
-    # Cross-cell pairs over the half stencil, all offsets at once.
+    # Cross-cell pairs over the half stencil, all offsets at once;
+    # neighbor cell ids carry the atom's replica offset.
     nbr = (cidx[:, None, :] + stencil[None, :, :]) % ncells  # (n, |stencil|, 3)
-    nbr_flat = ((nbr[..., 0] * ncells[1] + nbr[..., 1]) * ncells[2] + nbr[..., 2]).ravel()
-    cnt = counts[nbr_flat]
-    cross_i = np.repeat(np.repeat(np.arange(n, dtype=np.int64), len(stencil)), cnt)
-    jj_slot = np.repeat(starts[nbr_flat], cnt) + _grouped_arange(cnt)
-    cross_j = order[jj_slot]
-
-    ii = np.concatenate([intra_i, cross_i])
-    jj = np.concatenate([intra_j, cross_j])
-    return np.minimum(ii, jj), np.maximum(ii, jj)
-
-
-def ensemble_cell_candidate_pairs(
-    positions: np.ndarray, box: Box, reach: float, replicas: int, n_solo: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Candidate pairs for ``replicas`` stacked replicas in one sweep.
-
-    ``positions`` holds R replicas of an ``n_solo``-atom system
-    concatenated along the atom axis (replica ``r`` owns rows
-    ``[r * n_solo, (r + 1) * n_solo)``), all sharing one box.  Atoms are
-    binned with *replica-major* flat cell ids ``r * ncells_total +
-    flat`` so cells of different replicas are distinct and no candidate
-    ever crosses a replica boundary — load-bearing because replicas
-    typically start from identical coordinates, where naive shared
-    binning would pair every atom with its R-1 twins at distance zero.
-
-    One bin pass, one stable sort, and one stencil sweep cover the whole
-    ensemble; the candidate set restricted to replica ``r`` is a superset
-    of that replica's within-``reach`` pairs (each at most once), so the
-    downstream distance filter + canonical sort yield exactly the solo
-    candidate list per replica.  Returns ``None`` when the box admits no
-    binning (callers fall back to per-replica brute force).
-    """
-    if n_solo < 64:
-        return None
-    binning = _choose_binning(positions, box, reach)
-    if binning is None:
-        return None
-    ncells, stencil = binning
-    ntot = int(np.prod(ncells))
-    if replicas * ntot > 50_000_000:
-        return None
-
-    cell_size = box.lengths / ncells
-    cidx = np.floor(positions / cell_size).astype(np.int64) % ncells
-    flat = (cidx[:, 0] * ncells[1] + cidx[:, 1]) * ncells[2] + cidx[:, 2]
-
-    n = len(positions)
-    rep = np.repeat(np.arange(replicas, dtype=np.int64) * ntot, n_solo)
-    gflat = flat + rep
-    order = np.argsort(gflat, kind="stable")
-    sorted_gflat = gflat[order]
-    counts = np.bincount(sorted_gflat, minlength=replicas * ntot)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    # Intra-cell pairs: slot p pairs with slots p+1 .. end(cell)-1.
-    slot = np.arange(n, dtype=np.int64)
-    cell_end = starts[sorted_gflat] + counts[sorted_gflat]
-    k_intra = cell_end - slot - 1
-    ii_slot = np.repeat(slot, k_intra)
-    jj_slot = ii_slot + 1 + _grouped_arange(k_intra)
-    intra_i = order[ii_slot]
-    intra_j = order[jj_slot]
-
-    # Cross-cell pairs over the half stencil; neighbor cell ids carry
-    # the same per-atom replica offset, staying within the replica.
-    nbr = (cidx[:, None, :] + stencil[None, :, :]) % ncells
-    nbr_flat = (
-        (nbr[..., 0] * ncells[1] + nbr[..., 1]) * ncells[2]
-        + nbr[..., 2]
-        + rep[:, None]
-    ).ravel()
+    nbr_flat = (nbr[..., 0] * ncells[1] + nbr[..., 1]) * ncells[2] + nbr[..., 2]
+    if rep is not None:
+        nbr_flat += rep[:, None]
+    nbr_flat = nbr_flat.ravel()
     cnt = counts[nbr_flat]
     cross_i = np.repeat(np.repeat(np.arange(n, dtype=np.int64), len(stencil)), cnt)
     jj_slot = np.repeat(starts[nbr_flat], cnt) + _grouped_arange(cnt)

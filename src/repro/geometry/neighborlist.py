@@ -20,6 +20,11 @@ configuration (after exclusion filtering).  Fixed-point force codes —
 and even float force sums — therefore do not depend on the rebuild
 history, which keeps checkpoint/restore replay and the machine
 simulation's parallel invariance exact.
+
+One list serves every run shape: ``replicas`` stacked copies of a
+system are built in one batched pass and filtered in one :meth:`pairs`
+call, and a solo or machine run is the one-replica list.  Each replica's
+slice of the output is bitwise its solo list.
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ from repro.geometry.cells import (
     _canonical_order,
     brute_force_pairs,
     cell_candidate_pairs,
-    ensemble_cell_candidate_pairs,
 )
 from repro.geometry.pbc import Box
 
-__all__ = ["NeighborList", "EnsembleNeighborList"]
+__all__ = ["NeighborList"]
 
 
 class NeighborList:
@@ -68,6 +72,17 @@ class NeighborList:
         persistent scratch and returns prefix *views* of that scratch
         — bitwise identical to the NumPy filter, but the views are
         only valid until the next :meth:`pairs` call.
+    replicas:
+        Number of replicas stacked along the atom axis (replica ``r``
+        owns rows ``[r * n, (r + 1) * n)``, all in one box).  One
+        binning/filter/sort pass builds every replica's candidates and
+        one :meth:`pairs` filter runs over the concatenated list.  The
+        list restricted to a replica is that replica's solo list in
+        canonical order (the global sort key ``i * RN + j`` groups
+        replica-major), and a rebuild triggered by *any* replica's
+        drift is bitwise harmless for the others because :meth:`pairs`
+        output is a pure function of the current configuration.  A
+        solo list is the one-replica case.
     """
 
     def __init__(
@@ -78,6 +93,7 @@ class NeighborList:
         exclusions=None,
         timers=None,
         kernels=None,
+        replicas: int = 1,
     ):
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
@@ -95,6 +111,7 @@ class NeighborList:
         self.exclusions = exclusions
         self.timers = timers
         self.kernels = kernels
+        self.replicas = int(replicas)
         self.n_builds = 0
         self.n_reuses = 0
         self._ref_positions: np.ndarray | None = None
@@ -119,10 +136,18 @@ class NeighborList:
             self._build_inner(wrapped)
 
     def _build_inner(self, wrapped: np.ndarray) -> None:
-        cand = cell_candidate_pairs(wrapped, self.box, self.reach)
+        cand = cell_candidate_pairs(wrapped, self.box, self.reach, self.replicas)
         if cand is None:
-            bf = brute_force_pairs(wrapped, self.box, self.reach)
-            ii, jj = bf.i, bf.j  # already canonical
+            # Per-replica brute force; each block is canonical and the
+            # replica-major concatenation stays globally canonical.
+            n = len(wrapped) // self.replicas
+            parts_i, parts_j = [], []
+            for r in range(self.replicas):
+                bf = brute_force_pairs(wrapped[r * n : (r + 1) * n], self.box, self.reach)
+                parts_i.append(bf.i + r * n)
+                parts_j.append(bf.j + r * n)
+            ii = np.concatenate(parts_i)
+            jj = np.concatenate(parts_j)
             canonical = True
         else:
             ii, jj = self._filter_to_reach(wrapped, *cand)
@@ -237,54 +262,3 @@ class NeighborList:
         self._oj = np.empty(n, dtype=np.int64)
         self._odx = np.empty((n, 3), dtype=np.float64)
         self._or2 = np.empty(n, dtype=np.float64)
-
-
-class EnsembleNeighborList(NeighborList):
-    """Neighbor list for R replicas stacked along the atom axis.
-
-    Replica ``r`` owns atom rows ``[r * n_solo, (r + 1) * n_solo)``; one
-    batched binning/filter/sort pass builds all replicas' candidates
-    (:func:`~repro.geometry.cells.ensemble_cell_candidate_pairs`), and
-    the inherited :meth:`pairs` filter runs once over the concatenated
-    candidate list.  The candidate list restricted to a replica is in
-    that replica's canonical order (the global sort key ``i * RN + j``
-    groups replica-major), and a rebuild triggered by *any* replica's
-    drift is bitwise harmless for the others: :meth:`pairs` output is a
-    pure function of the current configuration regardless of when the
-    list was last built — the same skin-independence contract the solo
-    list already guarantees.
-    """
-
-    def __init__(self, box, cutoff, replicas, n_solo, **kwargs):
-        super().__init__(box, cutoff, **kwargs)
-        self.replicas = int(replicas)
-        self.n_solo = int(n_solo)
-
-    def _build_inner(self, wrapped: np.ndarray) -> None:
-        cand = ensemble_cell_candidate_pairs(
-            wrapped, self.box, self.reach, self.replicas, self.n_solo
-        )
-        if cand is None:
-            # Per-replica brute force; each block is canonical and the
-            # replica-major concatenation stays globally canonical.
-            parts_i, parts_j = [], []
-            for r in range(self.replicas):
-                sl = slice(r * self.n_solo, (r + 1) * self.n_solo)
-                bf = brute_force_pairs(wrapped[sl], self.box, self.reach)
-                parts_i.append(bf.i + r * self.n_solo)
-                parts_j.append(bf.j + r * self.n_solo)
-            ii = np.concatenate(parts_i)
-            jj = np.concatenate(parts_j)
-            canonical = True
-        else:
-            ii, jj = self._filter_to_reach(wrapped, *cand)
-            canonical = False
-        if self.exclusions is not None and len(ii):
-            keep = ~self.exclusions.is_excluded(ii, jj)
-            ii, jj = ii[keep], jj[keep]
-        if not canonical and len(ii):
-            order = _canonical_order(ii, jj, len(wrapped))
-            ii, jj = ii[order], jj[order]
-        self._cand_i, self._cand_j = ii, jj
-        self._ref_positions = wrapped.copy()
-        self.n_builds += 1

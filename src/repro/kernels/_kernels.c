@@ -808,15 +808,15 @@ static inline double rk_max(double err, double e)
     return err;
 }
 
-/* ConstraintSolver.shake: Gauss-Seidel sweeps over atom-disjoint
+/* SHAKE for one replica: Gauss-Seidel sweeps over atom-disjoint
  * constraint batches.  `order` is the concatenation of the coloring
  * batches, `starts` the (nbatch + 1) prefix offsets into it.  `dref`
  * is caller-provided (ncon, 3) scratch. */
-void rk_shake(double *pos, const double *ref, const int64_t *ci,
-              const int64_t *cj, const double *d2, const double *inv,
-              const double *L, int64_t ncon, const int64_t *order,
-              const int64_t *starts, int64_t nbatch, int64_t iters,
-              double tol, double *dref)
+static void rk_shake(double *pos, const double *ref, const int64_t *ci,
+                     const int64_t *cj, const double *d2, const double *inv,
+                     const double *L, int64_t ncon, const int64_t *order,
+                     const int64_t *starts, int64_t nbatch, int64_t iters,
+                     double tol, double *dref)
 {
     for (int64_t c = 0; c < ncon; c++) {
         const double *ri = ref + 3 * ci[c];
@@ -868,30 +868,13 @@ void rk_shake(double *pos, const double *ref, const int64_t *ci,
     }
 }
 
-/* Leading-replica-axis SHAKE: R independent replicas stacked along the
- * atom axis (replica r owns rows [r*natoms, (r+1)*natoms)), each solved
- * with the solo sweep above against the *solo* constraint arrays.  One
- * ctypes call replaces R, and every replica's arithmetic is literally
- * the solo routine — bitwise identity with a solo run is structural. */
-void rk_shake_batch(int64_t nrep, int64_t natoms, double *pos,
-                    const double *ref, const int64_t *ci, const int64_t *cj,
-                    const double *d2, const double *inv, const double *L,
-                    int64_t ncon, const int64_t *order,
-                    const int64_t *starts, int64_t nbatch, int64_t iters,
-                    double tol, double *dref)
-{
-    for (int64_t r = 0; r < nrep; r++)
-        rk_shake(pos + 3 * natoms * r, ref + 3 * natoms * r, ci, cj, d2,
-                 inv, L, ncon, order, starts, nbatch, iters, tol, dref);
-}
-
-/* ConstraintSolver.rattle.  `dx_all` (ncon, 3) and `d2_all` (ncon) are
+/* RATTLE for one replica.  `dx_all` (ncon, 3) and `d2_all` (ncon) are
  * caller-provided scratch. */
-void rk_rattle(double *vel, const double *pos, const int64_t *ci,
-               const int64_t *cj, const double *inv, const double *L,
-               int64_t ncon, const int64_t *order, const int64_t *starts,
-               int64_t nbatch, int64_t iters, double tol, double *dx_all,
-               double *d2_all)
+static void rk_rattle(double *vel, const double *pos, const int64_t *ci,
+                      const int64_t *cj, const double *inv, const double *L,
+                      int64_t ncon, const int64_t *order,
+                      const int64_t *starts, int64_t nbatch, int64_t iters,
+                      double tol, double *dx_all, double *d2_all)
 {
     for (int64_t c = 0; c < ncon; c++) {
         const double *xi = pos + 3 * ci[c];
@@ -940,24 +923,15 @@ void rk_rattle(double *vel, const double *pos, const int64_t *ci,
     }
 }
 
-/* Leading-replica-axis RATTLE; see rk_shake_batch. */
-void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
-                     const double *pos, const int64_t *ci, const int64_t *cj,
-                     const double *inv, const double *L, int64_t ncon,
-                     const int64_t *order, const int64_t *starts,
-                     int64_t nbatch, int64_t iters, double tol,
-                     double *dx_all, double *d2_all)
-{
-    for (int64_t r = 0; r < nrep; r++)
-        rk_rattle(vel + 3 * natoms * r, pos + 3 * natoms * r, ci, cj, inv,
-                  L, ncon, order, starts, nbatch, iters, tol, dx_all,
-                  d2_all);
-}
-
-/* Threaded constraint batches: replicas are independent (disjoint
- * pos/vel rows, read-only shared topology), so lanes chunk the replica
- * axis and run the solo routine with per-lane scratch.  Per-replica
- * convergence exits live inside rk_shake/rk_rattle and are untouched. */
+/* Leading-replica-axis SHAKE/RATTLE: R independent replicas stacked
+ * along the atom axis (replica r owns rows [r*natoms, (r+1)*natoms)),
+ * each solved by the one-replica routine above against the *solo*
+ * constraint arrays; a solo solve is nrep = 1.  Replicas are
+ * independent (disjoint pos/vel rows, read-only shared topology), so
+ * lanes chunk the replica axis with per-lane scratch, and every
+ * replica's arithmetic -- including its own convergence exit -- is
+ * literally the solo routine's: bitwise identity with a solo run is
+ * structural.  `nthreads <= 1` runs the one lane in the caller. */
 
 typedef struct {
     int64_t nrep, natoms, ncon, nbatch, iters;
@@ -989,11 +963,6 @@ void rk_shake_batch_mt(int64_t nrep, int64_t natoms, double *pos,
                        int64_t nbatch, int64_t iters, double tol,
                        double *scratch, int64_t nthreads)
 {
-    if (nthreads <= 1 || nrep <= 1) {
-        rk_shake_batch(nrep, natoms, pos, ref, ci, cj, d2, inv, L, ncon,
-                       order, starts, nbatch, iters, tol, scratch);
-        return;
-    }
     rk_cb_arg a;
     a.nrep = nrep; a.natoms = natoms; a.ncon = ncon; a.nbatch = nbatch;
     a.iters = iters; a.tol = tol;
@@ -1001,7 +970,7 @@ void rk_shake_batch_mt(int64_t nrep, int64_t natoms, double *pos,
     a.d2 = d2; a.inv = inv; a.L = L;
     a.ci = ci; a.cj = cj; a.order = order; a.starts = starts;
     a.scr_a = scratch; a.scr_b = NULL;
-    rk_run(rk_shake_batch_task, &a, nthreads);
+    rk_run(rk_shake_batch_task, &a, nrep > 1 ? nthreads : 1);
 }
 
 static void rk_rattle_batch_task(void *p, int64_t tid, int64_t nt)
@@ -1026,12 +995,6 @@ void rk_rattle_batch_mt(int64_t nrep, int64_t natoms, double *vel,
                         double *dx_scratch, double *d2_scratch,
                         int64_t nthreads)
 {
-    if (nthreads <= 1 || nrep <= 1) {
-        rk_rattle_batch(nrep, natoms, vel, pos, ci, cj, inv, L, ncon,
-                        order, starts, nbatch, iters, tol, dx_scratch,
-                        d2_scratch);
-        return;
-    }
     rk_cb_arg a;
     a.nrep = nrep; a.natoms = natoms; a.ncon = ncon; a.nbatch = nbatch;
     a.iters = iters; a.tol = tol;
@@ -1039,7 +1002,7 @@ void rk_rattle_batch_mt(int64_t nrep, int64_t natoms, double *vel,
     a.d2 = NULL; a.inv = inv; a.L = L;
     a.ci = ci; a.cj = cj; a.order = order; a.starts = starts;
     a.scr_a = dx_scratch; a.scr_b = d2_scratch;
-    rk_run(rk_rattle_batch_task, &a, nthreads);
+    rk_run(rk_rattle_batch_task, &a, nrep > 1 ? nthreads : 1);
 }
 
 /* -- mesh stencil plan -------------------------------------------------- */

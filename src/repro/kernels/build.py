@@ -183,18 +183,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_mesh_plan.argtypes = (
         [i64, i64, i64, i64] + [p] * 9 + [i64, i64, f64, p, p]
     )
-    lib.rk_shake.restype = None
-    lib.rk_shake.argtypes = [p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]
-    lib.rk_rattle.restype = None
-    lib.rk_rattle.argtypes = [p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, p]
-    lib.rk_shake_batch.restype = None
-    lib.rk_shake_batch.argtypes = (
-        [i64, i64, p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]
-    )
-    lib.rk_rattle_batch.restype = None
-    lib.rk_rattle_batch.argtypes = (
-        [i64, i64, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, p]
-    )
 
     # Threaded entry points (present in every build; the RK_THREADS=0
     # variant routes them through a direct serial call).

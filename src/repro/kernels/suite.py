@@ -342,23 +342,16 @@ class NumpyKernels:
         fxy = ix[:, :, None] * my + iy[:, None, :]
         np.add(fxy[:, :, :, None] * mz, iz[:, None, None, :], out=flat)
 
-    # -- constraints -------------------------------------------------------
-
-    def shake(self, solver, positions, reference, tol):
-        return solver._shake_numpy(positions, reference, tol)
-
-    def rattle(self, solver, velocities, positions, tol):
-        return solver._rattle_numpy(velocities, positions, tol)
-
-    # -- leading-replica-axis constraint variants --------------------------
+    # -- constraints (leading replica axis; solo is nrep=1) ---------------
 
     def shake_batch(self, solver, positions, reference, tol, nrep, natoms):
         """SHAKE ``nrep`` replicas stacked along the atom axis.
 
         ``solver`` is the *solo* :class:`ConstraintSolver`; replica ``r``
         owns rows ``[r * natoms, (r + 1) * natoms)`` of ``positions`` and
-        ``reference``.  The reference tier simply runs the solo sweep per
-        replica slice, which is the bitwise definition of the contract.
+        ``reference``.  A solo solve is ``nrep=1``.  The reference tier
+        simply runs the solo sweep per replica slice, which is the
+        bitwise definition of the contract.
         """
         for r in range(nrep):
             sl = slice(r * natoms, (r + 1) * natoms)
@@ -547,56 +540,21 @@ class CompiledKernels(NumpyKernels):
         else:
             self._lib.rk_mesh_plan(*args)
 
-    def shake(self, solver, positions, reference, tol):
-        pre = solver._compiled_arrays()
-        if pre is None:
-            return solver._shake_numpy(positions, reference, tol)
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        self._lib.rk_shake(
-            _ptr(positions), _ptr(np.ascontiguousarray(reference)),
-            _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
-            len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-            solver.iterations, float(tol), _ptr(dref),
-        )
-        return positions
-
-    def rattle(self, solver, velocities, positions, tol):
-        pre = solver._compiled_arrays()
-        if pre is None:
-            return solver._rattle_numpy(velocities, positions, tol)
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        self._lib.rk_rattle(
-            _ptr(velocities), _ptr(np.ascontiguousarray(positions)),
-            _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
-            len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-            solver.iterations, float(tol), _ptr(dx_all), _ptr(d2_all),
-        )
-        return velocities
-
     def shake_batch(self, solver, positions, reference, tol, nrep, natoms):
         pre = solver._compiled_arrays()
         if pre is None:
             return NumpyKernels.shake_batch(
                 self, solver, positions, reference, tol, nrep, natoms
             )
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        if self.threads > 1 and nrep > 1:
-            con_dref, _, _ = self._constraint_scratch(len(ci))
-            self._lib.rk_shake_batch_mt(
-                int(nrep), int(natoms),
-                _ptr(positions), _ptr(np.ascontiguousarray(reference)),
-                _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
-                len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-                solver.iterations, float(tol), _ptr(con_dref),
-                min(self.threads, int(nrep)),
-            )
-            return positions
-        self._lib.rk_shake_batch(
+        ci, cj, d2, inv, lengths, order, starts = pre
+        dref, _, _ = self._constraint_scratch(len(ci))
+        self._lib.rk_shake_batch_mt(
             int(nrep), int(natoms),
             _ptr(positions), _ptr(np.ascontiguousarray(reference)),
             _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
             len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
             solver.iterations, float(tol), _ptr(dref),
+            min(self.threads, int(nrep)),
         )
         return positions
 
@@ -606,24 +564,15 @@ class CompiledKernels(NumpyKernels):
             return NumpyKernels.rattle_batch(
                 self, solver, velocities, positions, tol, nrep, natoms
             )
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        if self.threads > 1 and nrep > 1:
-            _, con_dx, con_d2 = self._constraint_scratch(len(ci))
-            self._lib.rk_rattle_batch_mt(
-                int(nrep), int(natoms),
-                _ptr(velocities), _ptr(np.ascontiguousarray(positions)),
-                _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
-                len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-                solver.iterations, float(tol), _ptr(con_dx), _ptr(con_d2),
-                min(self.threads, int(nrep)),
-            )
-            return velocities
-        self._lib.rk_rattle_batch(
+        ci, cj, d2, inv, lengths, order, starts = pre
+        _, dx_all, d2_all = self._constraint_scratch(len(ci))
+        self._lib.rk_rattle_batch_mt(
             int(nrep), int(natoms),
             _ptr(velocities), _ptr(np.ascontiguousarray(positions)),
             _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
             len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
             solver.iterations, float(tol), _ptr(dx_all), _ptr(d2_all),
+            min(self.threads, int(nrep)),
         )
         return velocities
 

@@ -80,14 +80,13 @@ class MachineForceCalculator(ForceCalculator):
     ):
         if params.quantize_mesh_bits is None:
             raise ValueError("machine execution requires quantize_mesh_bits")
-        super().__init__(system, params)
         self.machine = machine
         self.backend = backend
+        # Binding resolves the backend's kernel suite, which the force
+        # phases and the neighbor list share (compiled cutoff filtering
+        # when available).
         backend.bind(self)
-        self.kernels = backend.kernels
-        # The neighbor list shares the backend's kernel suite (compiled
-        # cutoff filtering when available).
-        self.neighbor_list.kernels = backend.kernels
+        super().__init__(system, params, kernels=backend.kernels)
 
     # -- per-node deposits ---------------------------------------------------
 

@@ -99,16 +99,6 @@ class JobSpec:
             raise ValueError(f"unsupported job system {self.system!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        # Energy records are cadenced per run() call, not per global
-        # step, so slice boundaries (== checkpoint cadence) must land
-        # on record boundaries for sliced output to be byte-identical
-        # to an unsliced run's.
-        if (self.checkpoint_every and self.record_every
-                and self.checkpoint_every % self.record_every):
-            raise ValueError(
-                f"checkpoint_every ({self.checkpoint_every}) must be a "
-                f"multiple of record_every ({self.record_every})"
-            )
 
     def params(self):
         """The run's force parameters: the multiple-time-step water

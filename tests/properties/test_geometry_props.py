@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.geometry import Box, brute_force_pairs, neighbor_pairs
+from repro.geometry import Box, brute_force_pairs, cell_candidate_pairs, neighbor_pairs
 
 sides = st.floats(5.0, 60.0, allow_nan=False)
 
@@ -95,3 +95,50 @@ def test_pair_distances_below_cutoff(side, pos):
     p = neighbor_pairs(pos, box, cutoff)
     assert np.all(p.r2 < cutoff * cutoff)
     assert np.all(p.i != p.j)
+
+
+def _within_reach_sorted(cand, wrapped, box, reach):
+    """Candidates within ``reach``, in canonical ``(i, j)`` order."""
+    ii, jj = cand
+    d = box.minimum_image(wrapped[ii] - wrapped[jj])
+    keep = np.sum(d * d, axis=1) < reach * reach
+    ii, jj = ii[keep], jj[keep]
+    order = np.argsort(ii * np.int64(len(wrapped)) + jj)
+    return ii[order], jj[order]
+
+
+@given(
+    side=st.floats(14.0, 32.0),
+    n=st.integers(40, 160),
+    reach_frac=st.floats(0.15, 0.5),
+    replicas=st.integers(1, 4),
+    identical=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_cell_candidates_equal_offset_solo_searches(
+    side, n, reach_frac, replicas, identical, seed
+):
+    """One R-replica cell search == R solo searches offset by ``r * n``.
+
+    After the reach filter and canonical sort.  Identical replica
+    coordinates (the usual ensemble start) must not pair twins across
+    blocks; small boxes and small systems, where no binning is
+    admissible, return ``None`` for the batch exactly when they do solo.
+    """
+    box = Box.cubic(side)
+    reach = side * reach_frac
+    rng = np.random.default_rng(seed)
+    blocks = [box.wrap(rng.uniform(0, side, (n, 3)))]
+    for _ in range(replicas - 1):
+        blocks.append(blocks[0] if identical else box.wrap(rng.uniform(0, side, (n, 3))))
+    stacked = np.concatenate(blocks)
+    got = cell_candidate_pairs(stacked, box, reach, replicas=replicas)
+    solo = [cell_candidate_pairs(b, box, reach) for b in blocks]
+    if got is None:
+        assert all(s is None for s in solo)
+        return
+    want = [_within_reach_sorted(s, b, box, reach) for s, b in zip(solo, blocks)]
+    gi, gj = _within_reach_sorted(got, stacked, box, reach)
+    np.testing.assert_array_equal(gi, np.concatenate([w[0] + r * n for r, w in enumerate(want)]))
+    np.testing.assert_array_equal(gj, np.concatenate([w[1] + r * n for r, w in enumerate(want)]))

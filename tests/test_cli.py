@@ -40,6 +40,20 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "bitwise identical to the 1-node machine: True" in out
 
+    def test_machine_resume_with_invariance(self, capsys, tmp_path):
+        # The 1-node reference must continue from the same snapshot,
+        # not re-run the whole trajectory from an unprepared system.
+        ck = str(tmp_path / "ck")
+        assert main(["machine", "--waters", "32", "--steps", "4",
+                     "--checkpoint-dir", ck, "--checkpoint-every", "2"]) == 0
+        capsys.readouterr()
+        assert main(["machine", "--waters", "32", "--steps", "8",
+                     "--checkpoint-dir", ck, "--checkpoint-every", "2",
+                     "--resume", "--check-invariance"]) == 0
+        out = capsys.readouterr().out
+        assert "at step 4 (4 steps remain)" in out
+        assert "bitwise identical to the 1-node machine: True" in out
+
     def test_machine_profile_emits_phase_json(self, capsys):
         import json
 

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.simulation import Simulation
+from repro.core.thermostat import BerendsenThermostat
+from repro.io import EnergyLogWriter, job_energy_log_path, job_trajectory_path
+from repro.serve import AssignmentJob, execute_assignment, prepare_job_system
 from repro.serve.jobs import (
     JOB_STATES,
     TERMINAL_STATES,
@@ -29,12 +33,44 @@ class TestJobSpec:
         with pytest.raises(ValueError, match="steps"):
             JobSpec(steps=0)
 
-    def test_slice_must_align_with_record_cadence(self):
-        # Energy records are cadenced per run() call: a slice boundary
-        # off the record cadence would change the log bytes.
-        with pytest.raises(ValueError, match="multiple"):
-            JobSpec(steps=20, record_every=4, checkpoint_every=6)
-        JobSpec(steps=20, record_every=4, checkpoint_every=8)  # fine
+    def test_slice_off_record_cadence_is_byte_identical(self, tmp_path):
+        # Records and frames follow the global step, so a checkpoint
+        # cadence (== slice length) off the record cadence slices a
+        # preempted job without changing its artifacts.
+        spec = JobSpec(waters=16, steps=16, seed=5, record_every=4, checkpoint_every=6)
+        job = AssignmentJob("j", spec, str(tmp_path / "j"))
+        slices = {"n": 0}
+
+        def control():
+            slices["n"] += 1
+            return "preempt" if slices["n"] >= 2 else None
+
+        first = execute_assignment([job], control=control)
+        assert first.status == "preempted", first.error
+        assert first.steps_done == {"j": 12}
+        job.steps_done = 12
+        second = execute_assignment([job])
+        assert second.status == "done", second.error
+
+        system, params = prepare_job_system(spec)
+        system.initialize_velocities(spec.temperature, seed=spec.seed)
+        sim = Simulation(system, params, dt=spec.dt, mode="fixed",
+                         thermostat=BerendsenThermostat(spec.temperature),
+                         constraints=True)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        trajectory = sim.open_trajectory(job_trajectory_path(ref))
+        writer = EnergyLogWriter(job_energy_log_path(ref))
+        try:
+            for _ in sim.run(spec.steps, record_every=spec.record_every,
+                             energy_writer=writer, trajectory=trajectory,
+                             trajectory_every=spec.effective_trajectory_every):
+                pass
+        finally:
+            trajectory.close()
+            writer.close()
+        for path in (job_energy_log_path, job_trajectory_path):
+            assert path(tmp_path / "j").read_bytes() == path(ref).read_bytes()
 
     def test_derived_cadences(self):
         spec = JobSpec(steps=20, record_every=5)
