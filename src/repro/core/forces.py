@@ -12,6 +12,13 @@ and produces either dense float forces (reference path) or
 order-invariant fixed-point force codes (Anton path).  Multiple
 time-stepping ("long-range interactions are typically evaluated only
 every two or three time steps") is provided by :class:`MTSForceProvider`.
+
+:class:`ForceCalculator` is the one force skeleton of the solo, machine
+and ensemble engines, written for R replicas stacked along the atom
+axis (R = 1 for solo and the machine).  It owns the one k-space pass,
+:meth:`ForceCalculator._mesh_pass`: the stencil plan, spreading, mesh
+solve and interpolation for all R replicas, in blocks sized against
+``repro.ewald.gse.PLAN_MAX_ELEMENTS``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from repro.ewald import (
     precompute_correction_static,
     self_energy,
 )
+from repro.ewald import gse as gse_module
 from repro.fixedpoint import FixedAccumulator, round_nearest_even
 from repro.forcefield import (
     all_bonded_forces,
@@ -171,6 +179,8 @@ class ForceCalculator:
         self._pair_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pair_spec = None
         self._pair_spec_codec = None
+        #: Mesh stencil plan storage, refilled by every mesh block.
+        self._plan = None
 
     # -- contribution gathering -------------------------------------------
 
@@ -214,7 +224,96 @@ class ForceCalculator:
     def _kspace(self, positions: np.ndarray):
         """(energy, dense float forces) of the GSE mesh part."""
         with self.timers.time(self.phases["kspace"]):
-            return self.gse.kspace(positions, self.system.charges, codec=self.mesh_codec)
+            energies, forces = self._mesh_pass(positions)
+        return self._kspace_energies(energies), forces
+
+    def _kspace_energies(self, energies: np.ndarray):
+        """The k-space energy term from its ``(R,)`` per-replica values."""
+        return float(energies[0])
+
+    def _mesh_pass(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-replica k-space energies ``(R,)`` and dense float mesh forces.
+
+        The one plan -> spread -> solve -> interpolate pass, over the
+        ``replicas`` stacked copies (replica r owns atom rows
+        ``[r*N, (r+1)*N)``).  Blocks are sized against
+        ``PLAN_MAX_ELEMENTS``, read at call time: the whole stack when
+        its plan fits, else one replica per block, every block refilling
+        the one plan buffer kept across steps.  A replica whose plan
+        alone is over budget runs :meth:`GaussianSplitEwald.kspace`'s
+        atom-chunked path.  Each route gives every replica its solo
+        bits: plan kernels are per-atom arithmetic followed by
+        commutative or view-restarted reductions.
+        """
+        g, R = self.gse, self.replicas
+        n = len(positions) // R
+        q = self.system.charges[:n]
+        per_replica = n * g.stencil_size()
+        budget = gse_module.PLAN_MAX_ELEMENTS
+        block = R if R * per_replica <= budget else 1
+        energies = np.empty(R)
+        forces = np.empty((R * n, 3))
+        for lo in range(0, R, block):
+            rows = slice(lo * n, (lo + block) * n)
+            if per_replica > budget:
+                energies[lo], forces[rows] = g.kspace(positions[rows], q, codec=self.mesh_codec)
+            else:
+                energies[lo : lo + block] = self._mesh_block(positions[rows], q, block, forces[rows])
+        return energies, forces
+
+    def _mesh_block(self, positions, q, R: int, out: np.ndarray) -> np.ndarray:
+        """Mesh pass over one block of ``R`` replicas with charges ``q``.
+
+        Writes the forces into ``out`` and returns the ``(R,)`` energies.
+        One replica runs the engine's full suite (compiled plan build,
+        threaded spreading and interpolation).  A stack farms its
+        replicas to the suite's pool with the single-threaded ``serial``
+        suite (C lanes are never nested inside Python threads): each
+        replica owns disjoint plan rows, mesh slab and force rows, and
+        its row view restarts every chunk loop at its first row, so the
+        farming reorders no reduction.
+        """
+        g, t, codec, k = self.gse, self.timers, self.mesh_codec, self.kernels
+        n = len(q)
+        suite = k if R == 1 else k.serial
+        shape = (R, *(int(m) for m in g.mesh))
+        with t.time("mesh_plan"):
+            self._plan = plan = g.make_plan(
+                positions, out=self._plan, max_elements=None, kernels=k
+            )
+        views = [plan] if R == 1 else plan._thread_views(R)[1]
+        with t.time("mesh_spread"):
+            if codec is not None:
+                acc = np.zeros((R, g.mesh_point_count()), dtype=np.int64)
+                k.map_chunks(
+                    lambda r: views[r].spread_codes(q, acc[r], codec, kernels=suite), R
+                )
+                Q = codec.reconstruct(codec.wrap(acc)).reshape(shape)
+            else:
+                Q = np.zeros((R, g.mesh_point_count()))
+                for r in range(R):
+                    views[r].spread_float(q, Q[r])
+                Q = Q.reshape(shape)
+        with t.time("mesh_fft"):
+            if R > 1 and k.threads == 1:
+                phi, energies = g.solve_stack(Q)
+            else:
+                # Per-replica solves (pocketfft releases the GIL); the
+                # stacked solve is pinned bitwise to them.
+                phi, energies = np.empty(shape), np.empty(R)
+
+                def _solve(r):
+                    phi[r], energies[r] = g.solve(Q[r])
+
+                k.map_chunks(_solve, R)
+        with t.time("mesh_interp"):
+            k.map_chunks(
+                lambda r: views[r].interpolate_forces(
+                    q, phi[r], out=out[r * n : (r + 1) * n], kernels=suite
+                ),
+                R,
+            )
+        return energies
 
     # -- float path -----------------------------------------------------------
 
@@ -370,7 +469,7 @@ class ForceCalculator:
     def _kspace_fixed(self, positions, acc, force_codec):
         """Deposit the mesh forces; return the k-space energy."""
         if self.gse is None:
-            return 0.0
+            return self._kspace_energies(np.zeros(self.replicas))
         e_k, f_k = self._kspace(positions)
         with self.timers.time(self.phases["deposit"]):
             acc.deposit_dense(force_codec.quantize_round_only(f_k))

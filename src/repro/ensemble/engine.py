@@ -29,11 +29,11 @@ engine gets this by construction rather than by tolerance:
   set is a pure function of the current configuration regardless of
   when the list was rebuilt.
 
-The pair search, the neighbor list and the SHAKE/RATTLE sweeps are
-not ensemble copies: they are the one batched implementation the solo
-engine also runs, at R = 1.  What this module adds is the tiling, the
-per-replica energy reductions, the stacked k-space and the per-replica
-thermostat.
+The pair search, the neighbor list, the k-space pass and the
+SHAKE/RATTLE sweeps are not ensemble copies: they are the one batched
+implementation the solo engine also runs, at R = 1.  What this module
+adds is the tiling, the per-replica energy reductions and the
+per-replica thermostat.
 
 Replicas are *detachable*: :meth:`EnsembleSimulation.detach` (or any
 per-replica checkpoint) restores into a stock solo ``Simulation`` that
@@ -178,7 +178,6 @@ class EnsembleForceCalculator(ForceCalculator):
         )
         # Pair-index boundaries between replica blocks (ascending i).
         self._bounds = np.arange(1, replicas, dtype=np.int64) * np.int64(n_solo)
-        self._plan = None
 
     # -- per-replica reductions --------------------------------------------
 
@@ -216,98 +215,9 @@ class EnsembleForceCalculator(ForceCalculator):
                 replicas=self.replicas,
             )
 
-    # -- long range ---------------------------------------------------------
-
-    def _kspace_fixed(self, positions, acc, force_codec):
-        if self.gse is None:
-            return np.zeros(self.replicas)
-        return super()._kspace_fixed(positions, acc, force_codec)
-
-    def _kspace(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        with self.timers.time(self.phases["kspace"]):
-            return self._kspace_stack(positions)
-
-    def _kspace_stack(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-replica k-space energies and stacked mesh forces.
-
-        One shared stencil plan is built over all R*N positions; each
-        replica's spread/interpolation runs over a zero-copy row view
-        of it (chunk loops restart at the view, preserving solo bits),
-        and the FFT/convolution covers the whole ``(R, *mesh)`` stack
-        in one batched transform.  When the plan exceeds the memory
-        budget, replicas fall back to R solo ``kspace`` calls — bitwise
-        solo by definition.
-        """
-        g = self.gse
-        R, n = self.replicas, self.n_solo
-        q_solo = self.system.charges[:n]
-        with self.timers.time("mesh_plan"):
-            plan = g.make_plan(positions, out=self._plan, kernels=self.kernels)
-        if plan is None:
-            energies = np.empty(R)
-            forces = np.empty((R * n, 3))
-            for r in range(R):
-                sl = slice(r * n, (r + 1) * n)
-                e_r, f_r = g.kspace(positions[sl], q_solo, codec=self.mesh_codec)
-                energies[r] = e_r
-                forces[sl] = f_r
-            return energies, forces
-        self._plan = plan
-        mesh_shape = (R, *(int(m) for m in g.mesh))
-        m_points = g.mesh_point_count()
-        # Replicas are the parallel unit: each owns disjoint plan rows,
-        # mesh slab, and force rows, so farming them to the kernel
-        # suite's thread pool cannot reorder any reduction.  Worker
-        # threads get the single-threaded `serial` suite — the C lanes
-        # belong to the process-wide pool, never nested inside Python
-        # threads.  map_chunks degenerates to the same `for r in
-        # range(R)` loop at threads=1, so the serial bits are literal.
-        serial = getattr(self.kernels, "serial", self.kernels)
-        nthreads = getattr(self.kernels, "threads", 1)
-        replica_views = plan._thread_views(R)[1] if R > 1 else [plan]
-        with self.timers.time("mesh_spread"):
-            if self.mesh_codec is not None:
-                acc = np.zeros((R, m_points), dtype=np.int64)
-
-                def _spread(r):
-                    replica_views[r].spread_codes(
-                        q_solo, acc[r], self.mesh_codec, kernels=serial
-                    )
-
-                self.kernels.map_chunks(_spread, R)
-                Q = self.mesh_codec.reconstruct(self.mesh_codec.wrap(acc)).reshape(
-                    mesh_shape
-                )
-            else:
-                Qf = np.zeros((R, m_points))
-                for r in range(R):
-                    replica_views[r].spread_float(q_solo, Qf[r])
-                Q = Qf.reshape(mesh_shape)
-        with self.timers.time("mesh_fft"):
-            if nthreads > 1 and R > 1:
-                # Per-replica solo transforms in worker threads: the
-                # stacked solve is pinned bitwise to R solo solves, so
-                # this is the same bytes with the replica axis farmed
-                # out (pocketfft releases the GIL).
-                phi = np.empty(mesh_shape)
-                energies = np.empty(R)
-
-                def _solve(r):
-                    phi[r], energies[r] = g.solve(Q[r])
-
-                self.kernels.map_chunks(_solve, R)
-            else:
-                phi, energies = g.solve_stack(Q)
-        with self.timers.time("mesh_interp"):
-            forces = np.empty((R * n, 3))
-
-            def _interp(r):
-                replica_views[r].interpolate_forces(
-                    q_solo, phi[r], out=forces[r * n : (r + 1) * n]
-                )
-
-            self.kernels.map_chunks(_interp, R)
-        return energies, forces
+    def _kspace_energies(self, energies: np.ndarray) -> np.ndarray:
+        """Per-replica ``(R,)`` k-space energies, each the solo scalar."""
+        return energies
 
     # The two entry points are defined here rather than inherited so
     # that the batched force evaluation is its own attribute of this

@@ -690,7 +690,7 @@ class GaussianSplitEwald:
         above the budget the chunked wrappers run the identical kernels
         piecewise.
         """
-        plan = self.make_plan(positions)
+        plan = self.make_plan(positions, max_elements=PLAN_MAX_ELEMENTS)
         if plan is None:
             Q = self.spread(positions, charges, codec=codec)
             phi, energy = self.solve(Q)

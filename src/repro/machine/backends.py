@@ -8,12 +8,17 @@ how a machine time step's per-node work is traversed:
 * :class:`SerialBackend` — the literal per-node Python loops of the
   original implementation: deposits grouped node by node, GSE spreading
   and interpolation called once per owning node, traffic charged one
-  ``send`` at a time.  Kept as the baseline the scaling benchmark
-  measures against.
+  ``send`` at a time.  Kept as the reference oracle and the baseline
+  the scaling benchmark measures against.
 * :class:`VectorizedBackend` (the default) — the same contributions
   deposited by single array kernels, owner grouping collapsed (integer
   accumulation commutes, so grouping cannot change the bits), cached
-  import routes, and bincount-batched traffic accounting.
+  import routes, and bincount-batched traffic accounting.  Its mesh
+  phase is the base :meth:`MachineBackend.mesh_long_range`: the
+  calculator's one k-space pass
+  (:meth:`~repro.core.forces.ForceCalculator._mesh_pass`, the same one
+  solo and ensemble runs use), then the FFT traffic and one dense
+  deposit.
 
 Both produce bitwise-identical ``state_codes()`` trajectories: every
 force contribution is quantized once and integer-accumulated, so
@@ -26,8 +31,9 @@ Backends also charge their engine phases to ``machine_*`` timers
 ``machine_traffic``) on the calculator's
 :class:`~repro.perf.timers.Timers`, and the mesh pipeline's sub-phases
 to ``mesh_plan`` / ``mesh_spread`` / ``mesh_fft`` / ``mesh_interp``
-nested inside ``machine_mesh`` — the breakdown ``repro machine
---profile`` and the scaling benchmark report.
+(plus ``mesh_fft_traffic``) nested inside ``machine_mesh`` — the
+breakdown ``repro machine --profile`` and the scaling benchmark
+report.
 """
 
 from __future__ import annotations
@@ -47,12 +53,6 @@ __all__ = [
     "VectorizedBackend",
     "make_backend",
 ]
-
-#: Atom-chunk size for the over-budget GSE fallback (when the shared
-#: stencil plan would exceed its memory cap).  Small chunks keep the
-#: ~2200-point stencil arrays cache-resident across the several numpy
-#: passes of spreading/interpolation.
-_GSE_CHUNK = 128
 
 #: Largest box-pair count tabulated by the vectorized NT lookup; above
 #: this (>= 2048 nodes) the direct per-pair computation is used.
@@ -126,8 +126,14 @@ class MachineBackend:
         self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
 
     def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
-        """Spread/solve/interpolate the GSE mesh; returns the k-space energy."""
-        raise NotImplementedError
+        """The calculator's mesh pass, the FFT traffic, then one dense
+        deposit; returns the k-space energy."""
+        energies, forces = calc._mesh_pass(positions)
+        with calc.timers.time("mesh_fft_traffic"):
+            calc.machine.account_fft()
+        with calc.timers.time("mesh_interp"):
+            acc.deposit_dense(force_codec.quantize_round_only(forces))
+        return calc._kspace_energies(energies)
 
     # -- traffic accounting ---------------------------------------------
 
@@ -267,8 +273,8 @@ class VectorizedBackend(MachineBackend):
 
     Owner/node grouping is dropped wherever integer accumulation makes
     it unobservable, the NT assignment reuses one ``box_coord`` pass
-    over the whole configuration, GSE spreading/interpolation runs as
-    cache-sized chunked passes over all atoms, and traffic is charged
+    over the whole configuration, the GSE mesh runs the calculator's
+    one k-space pass over all atoms, and traffic is charged
     through :meth:`~repro.parallel.comm.SimNetwork.send_batch` with
     routes computed by array ops (position-import routes are static per
     machine and cached).  Bitwise identical to :class:`SerialBackend`.
@@ -280,10 +286,6 @@ class VectorizedBackend(MachineBackend):
         super().bind(calc)
         self._import_routes: tuple[np.ndarray, np.ndarray] | None = None
         self._nt_tables: tuple[np.ndarray, np.ndarray] | None = None
-        #: Shared mesh stencil plan, storage reused across steps.
-        self._mesh_plan = None
-        #: Flat int64 mesh accumulator, reused across evaluations.
-        self._mesh_acc: np.ndarray | None = None
 
     def _assign_pairs(self, m, positions, i, j) -> NTAssignment:
         """NT assignment via the tabulated box-pair rule.
@@ -315,52 +317,6 @@ class VectorizedBackend(MachineBackend):
         with calc.timers.time("machine_deposit"):
             self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
         return nb, assign
-
-    def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
-        s, m, gse = calc.system, calc.machine, calc.gse
-        t = calc.timers
-        # The stencil plan is built once per evaluation and shared by
-        # the spreading and interpolation passes (the old path rebuilt
-        # the weights in each); its storage persists across steps, as
-        # does the flat mesh accumulator (zero-filled, never
-        # reallocated, on the steady-state path).
-        with t.time("mesh_plan"):
-            self._mesh_plan = gse.make_plan(
-                positions, out=self._mesh_plan, kernels=self.kernels
-            )
-        plan = self._mesh_plan
-        if self._mesh_acc is None or self._mesh_acc.shape[0] != gse.mesh_point_count():
-            self._mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-        else:
-            self._mesh_acc[...] = 0
-        mesh_acc = self._mesh_acc
-        with t.time("mesh_spread"):
-            if plan is not None:
-                plan.spread_codes(
-                    s.charges, mesh_acc, calc.mesh_codec, kernels=self.kernels
-                )
-            else:
-                gse.spread_contributions(
-                    positions, s.charges, mesh_acc, calc.mesh_codec, chunk=_GSE_CHUNK
-                )
-        with t.time("mesh_unquantize"):
-            Q = calc.mesh_codec.reconstruct(calc.mesh_codec.wrap(mesh_acc)).reshape(
-                tuple(gse.mesh)
-            )
-        # FFT traffic accounting and the FFT solve are separate phases:
-        # the former is simulated-machine bookkeeping, the latter engine
-        # compute, and the overhead attribution must tell them apart.
-        with t.time("mesh_fft_traffic"):
-            m.account_fft()
-        with t.time("mesh_fft"):
-            phi, e_k = gse.solve(Q)
-        with t.time("mesh_interp"):
-            if plan is not None:
-                f_k = plan.interpolate_forces(s.charges, phi, kernels=self.kernels)
-            else:
-                f_k = gse.interpolate_forces(positions, s.charges, phi, chunk=_GSE_CHUNK)
-            acc.deposit_dense(force_codec.quantize_round_only(f_k))
-        return e_k
 
     def _import_route_arrays(self, machine) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) node ids of every tower/plate import route.

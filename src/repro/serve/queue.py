@@ -16,6 +16,8 @@ journal:
   from the newest durable checkpoint, so no work is lost and — because
   trajectory/energy-log resume truncates past-checkpoint output — no
   work is duplicated;
+* a job left PREEMPTED (the server died between a preemption's two
+  appends) finishes its move back to PENDING, journaled the same way;
 * completed jobs stay completed; job ids are assigned from a persisted
   monotonic counter, so a restart can never reuse one.
 
@@ -54,6 +56,7 @@ class JobQueue:
         self.jobs: dict[str, Job] = {}
         self._arrival = 0  # next submission index
         self._recovered: list[str] = []
+        self._stranded: list[str] = []
         existing = self.path.exists()
         if existing:
             self._replay()
@@ -75,6 +78,9 @@ class JobQueue:
             self._append({"event": "transition", "id": job_id, "to": "PENDING",
                           "reason": "server-died",
                           "fields": {"recoveries": self.jobs[job_id].recoveries}})
+        for job_id in self._stranded:
+            self._append({"event": "transition", "id": job_id, "to": "PENDING",
+                          "reason": "server-died"})
 
     # -- journal plumbing ---------------------------------------------------
 
@@ -105,13 +111,19 @@ class JobQueue:
                 self._apply(unpack_state(payload))
                 self._keep_end = end
         # Jobs mid-run when the server died: requeue (journaled in
-        # __init__ once the file is writable again).
+        # __init__ once the file is writable again).  A preemption is
+        # journaled as PREEMPTED then PENDING; a job stranded between
+        # the two completes the move with no counter bump.
         self._recovered = []
+        self._stranded = []
         for job in self.jobs.values():
             if job.state == "RUNNING":
                 job.state = "PENDING"
                 job.recoveries += 1
                 self._recovered.append(job.id)
+            elif job.state == "PREEMPTED":
+                job.state = "PENDING"
+                self._stranded.append(job.id)
 
     def _apply(self, event: dict) -> None:
         """Apply one journal event to the in-memory table (replay path)."""

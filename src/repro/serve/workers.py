@@ -11,12 +11,12 @@ assignments.
 Execution model
 ---------------
 An assignment is 1+ batch-compatible jobs.  Fresh jobs run through one
-:class:`~repro.ensemble.EnsembleSimulation` pass (R = batch size, the
-PR 7 engine — each replica bit-identical to its solo run on every
-kernel tier); a job with prior progress resumes solo through
-:class:`~repro.core.simulation.Simulation` from its newest valid
-checkpoint, appending to its trajectory and energy log with the torn /
-past-checkpoint output truncated.  Work proceeds in **slices of
+:class:`~repro.ensemble.EnsembleSimulation` pass (R = batch size;
+each replica bit-identical to its solo run on every kernel tier); a
+job with prior progress resumes from its newest valid checkpoint in a
+one-replica batch, on the same kernel suite, appending to its
+trajectory and energy log with the torn / past-checkpoint output
+truncated.  Work proceeds in **slices of
 exactly the checkpoint cadence**: every slice boundary coincides with
 a durable checkpoint save (the shared run loop's, frames flushed
 first), so
@@ -126,14 +126,14 @@ def _job_sinks(engine, jobs, resume=False):
     return trajectories, stores, writers
 
 
-def _run_fresh_batch(jobs, control, progress, kernel_cfg):
-    """One EnsembleSimulation pass over a batch of fresh jobs."""
+def _batch_engine(jobs, kernel_cfg):
+    """An EnsembleSimulation over ``jobs`` (one replica each) on the worker's suite."""
     from repro.core.thermostat import BerendsenThermostat
     from repro.ensemble import EnsembleSimulation
 
     spec = jobs[0].spec
     system, params = prepare_job_system(spec)
-    ens = EnsembleSimulation(
+    return EnsembleSimulation(
         system, params, dt=spec.dt,
         seeds=[j.spec.seed for j in jobs],
         temperature=spec.temperature,
@@ -141,19 +141,25 @@ def _run_fresh_batch(jobs, control, progress, kernel_cfg):
         constraints=True,
         kernel_tier=kernel_cfg.tier, kernel_threads=kernel_cfg.threads,
     )
+
+
+def _run_fresh_batch(jobs, control, progress, kernel_cfg):
+    """One EnsembleSimulation pass over a batch of fresh jobs."""
+    ens = _batch_engine(jobs, kernel_cfg)
     sinks = _job_sinks(ens, jobs)
     return _run_slices(ens, jobs, *sinks, control, progress)
 
 
-def _run_resumed_solo(job, control, progress, kernel_cfg):
-    """Resume one job from its newest valid checkpoint, bit-exactly."""
+def _run_resumed(job, control, progress, kernel_cfg):
+    """Resume one job from its newest valid checkpoint, bit-exactly.
+
+    The job's solo-schema checkpoint restores into a one-replica batch
+    engine, so a resumed job runs on the worker's kernel suite too.
+    """
     from pathlib import Path
 
-    from repro.core.simulation import Simulation
-    from repro.core.thermostat import BerendsenThermostat
     from repro.io import CheckpointError, CheckpointStore, CorruptRecord, job_checkpoint_dir
 
-    spec = job.spec
     try:
         loaded = CheckpointStore(job_checkpoint_dir(Path(job.artifact_dir))).load_latest()
     except CheckpointError:
@@ -163,14 +169,10 @@ def _run_resumed_solo(job, control, progress, kernel_cfg):
         job.steps_done = 0
         return _run_fresh_batch([job], control, progress, kernel_cfg)
 
-    system, params = prepare_job_system(spec)
-    sim = Simulation(
-        system, params, dt=spec.dt, mode="fixed",
-        thermostat=BerendsenThermostat(spec.temperature), constraints=True,
-    )
-    sim.restore(loaded.state)
+    ens = _batch_engine([job], kernel_cfg)
+    ens.restore(loaded.state)
     try:
-        sinks = _job_sinks(sim, [job], resume=True)
+        sinks = _job_sinks(ens, [job], resume=True)
     except CorruptRecord:  # pragma: no cover - externally damaged file
         # Trajectory unreadable even at the header: nothing to append
         # to.  The run loop's flush-before-checkpoint order makes this
@@ -179,7 +181,7 @@ def _run_resumed_solo(job, control, progress, kernel_cfg):
         # (bit-exact, just slower).
         job.steps_done = 0
         return _run_fresh_batch([job], control, progress, kernel_cfg)
-    return _run_slices(sim, [job], *sinks, control, progress)
+    return _run_slices(ens, [job], *sinks, control, progress)
 
 
 def _run_slices(engine, jobs, trajectories, stores, writers, control, progress):
@@ -232,7 +234,7 @@ def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None):
         kernel_cfg = resolve_config()
     try:
         if len(jobs) == 1 and jobs[0].steps_done > 0:
-            return _run_resumed_solo(jobs[0], control, progress, kernel_cfg)
+            return _run_resumed(jobs[0], control, progress, kernel_cfg)
         if any(j.steps_done > 0 for j in jobs):
             raise ValueError("batched assignments must be fresh")
         return _run_fresh_batch(list(jobs), control, progress, kernel_cfg)

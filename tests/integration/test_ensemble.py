@@ -7,11 +7,20 @@ virtual-site (TIP4P/Ew) systems, byte-identical artifacts across
 kernel tiers, and profile attribution of the ``ensemble_*`` phases.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import BerendsenThermostat, MDParams, Simulation, minimize_energy
+from repro.core import (
+    BerendsenThermostat,
+    ForceCalculator,
+    MDParams,
+    Simulation,
+    minimize_energy,
+)
 from repro.ensemble import EnsembleSimulation, derive_replica_seeds, tile_system
+from repro.ewald import gse as gse_module
 from repro.forcefield import TIP4PEW
 from repro.io import replica_checkpoint_store, replica_trajectory_path
 from repro.io.serialize import pack_state
@@ -151,6 +160,48 @@ class TestCrossTierArtifacts:
             )
         assert out["numpy"][0] == out["compiled"][0]
         assert out["numpy"][1] == out["compiled"][1]
+
+
+class TestMeshBlocks:
+    """Whichever block layout the plan budget selects, every replica's
+    k-space bits are its solo bits."""
+
+    @pytest.mark.parametrize("quantize_mesh_bits", [None, 40])
+    @pytest.mark.parametrize(
+        "tier", ["numpy", pytest.param("compiled", marks=needs_compiler)]
+    )
+    def test_per_replica_blocks_match_stack_and_solo(
+        self, tier, quantize_mesh_bits, monkeypatch
+    ):
+        base, params = prepared_water(n_molecules=16)
+        params = replace(params, quantize_mesh_bits=quantize_mesh_bits)
+        ens = make_ensemble(base, params, [1, 2, 3], tier=tier)
+        calc, n = ens.calc, ens.n_solo
+        # Distinct configurations per replica, so a mixed-up block shows.
+        rng = np.random.default_rng(7)
+        pos = ens.system.positions + rng.normal(scale=0.05, size=(3 * n, 3))
+        codec = ens.fixed_config.force_codec()
+
+        def evaluate():
+            codes, report = calc.compute_fixed(pos, codec)
+            return codes.copy(), report.energies
+
+        stack_codes, stack_e = evaluate()
+        assert calc._plan.n == 3 * n
+        # The stack no longer fits, one replica still does.
+        monkeypatch.setattr(gse_module, "PLAN_MAX_ELEMENTS", 2 * n * calc.gse.stencil_size())
+        block_codes, block_e = evaluate()
+        assert calc._plan.n == n
+        np.testing.assert_array_equal(block_codes, stack_codes)
+        assert stack_e.keys() == block_e.keys()
+        for key in stack_e:
+            np.testing.assert_array_equal(block_e[key], stack_e[key])
+        solo = ForceCalculator(base, params)
+        for r in range(3):
+            rows = slice(r * n, (r + 1) * n)
+            solo_codes, solo_report = solo.compute_fixed(pos[rows], codec)
+            np.testing.assert_array_equal(block_codes[rows], solo_codes)
+            assert {k: v[r] for k, v in block_e.items()} == solo_report.energies
 
 
 class TestProfileAttribution:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import MDParams, minimize_energy
+from repro.ewald import gse as gse_module
 from repro.machine import AntonMachine, make_backend
 from repro.systems import build_water_box
 
@@ -45,12 +46,23 @@ def run_machine(base_system, backend, n_nodes=8, steps=4, params=PARAMS):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("n_nodes", [1, 8, 64])
-    def test_serial_vs_vectorized_bitwise(self, base_system, n_nodes):
+    @pytest.mark.parametrize("n_nodes, plan_budget", [
+        pytest.param(1, None, id="1"),
+        pytest.param(8, None, id="8"),
+        pytest.param(64, None, id="64"),
+        # No plan fits: the vectorized mesh pass takes GSE's atom-chunked
+        # path and must match both its planned run and the serial oracle.
+        pytest.param(8, 0, id="8-over-plan-budget"),
+    ])
+    def test_serial_vs_vectorized_bitwise(self, base_system, n_nodes, plan_budget, monkeypatch):
         (Xs, Vs), _, _ = run_machine(base_system, "serial", n_nodes=n_nodes)
-        (Xv, Vv), _, _ = run_machine(base_system, "vectorized", n_nodes=n_nodes)
-        np.testing.assert_array_equal(Xs, Xv)
-        np.testing.assert_array_equal(Vs, Vv)
+        runs = [run_machine(base_system, "vectorized", n_nodes=n_nodes)]
+        if plan_budget is not None:
+            monkeypatch.setattr(gse_module, "PLAN_MAX_ELEMENTS", plan_budget)
+            runs.append(run_machine(base_system, "vectorized", n_nodes=n_nodes))
+        for (Xv, Vv), _, _ in runs:
+            np.testing.assert_array_equal(Xs, Xv)
+            np.testing.assert_array_equal(Vs, Vv)
 
     def test_analytic_kernel_bitwise(self, base_system):
         # The analytic (non-tabulated) kernel path is backend-invariant too.

@@ -36,6 +36,7 @@ from repro.serve import (
     execute_assignment,
     prepare_job_system,
 )
+from repro.serve import workers
 
 SPEC = dict(waters=8, steps=6, record_every=2, checkpoint_every=2)
 
@@ -90,7 +91,7 @@ class TestExecuteAssignment:
         for spec, job in zip(specs, jobs):
             assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
 
-    def test_preempt_then_resume_heals_to_byte_identity(self, tmp_path):
+    def test_preempt_then_resume_heals_to_byte_identity(self, tmp_path, monkeypatch):
         spec = JobSpec(seed=9, steps=8, waters=8, record_every=2, checkpoint_every=2)
         job = AssignmentJob("j", spec, str(tmp_path / "j"))
         slices = {"n": 0}
@@ -103,9 +104,19 @@ class TestExecuteAssignment:
         assert first.status == "preempted"
         assert 0 < first.steps_done["j"] < spec.steps
         job.steps_done = first.steps_done["j"]
+        engines = []
+        run_slices = workers._run_slices
+
+        def spy(engine, *args):
+            engines.append(engine)
+            return run_slices(engine, *args)
+
+        monkeypatch.setattr(workers, "_run_slices", spy)
         second = execute_assignment([job])
         assert second.status == "done", second.error
         assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
+        # The resumed job runs on the worker's kernel suite, not a fixed one.
+        assert engines[0].kernels.tier == workers.resolve_worker_kernels(None, None)[1]
 
     def test_resume_with_no_checkpoint_restarts_from_scratch(self, tmp_path):
         # Worker died before its first checkpoint landed: the requeued

@@ -1,5 +1,7 @@
 """Unit tests for ForceCalculator, MTS scheduling, and MDParams."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
     MTSForceProvider,
     minimize_energy,
 )
+from repro.ewald import gse as gse_module
 from repro.systems import build_hp_system, build_water_box, hp_miniprotein
 
 
@@ -51,6 +54,30 @@ class TestForceCalculator:
         short = calc.compute(water.positions, include_long_range=False).forces
         long_part = calc.compute_long(water.positions).forces
         np.testing.assert_allclose(short + long_part, full, atol=1e-10)
+
+    @pytest.mark.parametrize("quantize_mesh_bits", [None, 40])
+    def test_over_plan_budget_mesh_is_bitwise_the_planned_pass(
+        self, water, quantize_mesh_bits, monkeypatch
+    ):
+        params = replace(WATER_PARAMS, quantize_mesh_bits=quantize_mesh_bits)
+        codec = FixedPointConfig().force_codec()
+
+        def evaluate():
+            calc = ForceCalculator(water, params)
+            report = calc.compute(water.positions)
+            codes, fixed = calc.compute_fixed(water.positions, codec)
+            return calc, (report.forces, report.energies, codes.copy(), fixed.energies)
+
+        planned_calc, planned = evaluate()
+        assert planned_calc._plan.n == water.n_atoms
+        monkeypatch.setattr(gse_module, "PLAN_MAX_ELEMENTS", water.n_atoms - 1)
+        chunked_calc, chunked = evaluate()
+        assert chunked_calc._plan is None  # GSE's atom-chunked pass ran
+        for a, b in zip(planned, chunked):
+            if isinstance(a, dict):
+                assert a == b
+            else:
+                np.testing.assert_array_equal(a, b)
 
     def test_invalid_kernel_mode(self, water):
         with pytest.raises(ValueError):

@@ -67,6 +67,23 @@ class TestReplay:
             r = q.jobs[job.id]
             assert (r.state, r.recoveries) == ("PENDING", 1)
 
+    def test_stranded_preemption_completes_on_reopen(self, tmp_path):
+        # Server died between a preemption's PREEMPTED and PENDING
+        # appends: the job must be schedulable again, with no counter
+        # bump, and the completion journaled so replays agree.
+        with JobQueue(tmp_path) as q:
+            job = submit_one(q)
+            q.transition(job.id, "RUNNING")
+            q.transition(job.id, "PREEMPTED", reason="preempt", steps_done=5,
+                         preemptions=1)
+        with JobQueue(tmp_path) as q:
+            r = q.jobs[job.id]
+            assert (r.state, r.preemptions, r.recoveries, r.steps_done) == ("PENDING", 1, 0, 5)
+            assert [j.id for j in q.pending()] == [job.id]
+            first = {j.id: vars(j) for j in q.jobs.values()}
+        with JobQueue(tmp_path) as q:
+            assert {j.id: vars(j) for j in q.jobs.values()} == first
+
     def test_torn_tail_dropped(self, tmp_path):
         with JobQueue(tmp_path) as q:
             a = submit_one(q)
